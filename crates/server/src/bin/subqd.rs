@@ -45,8 +45,10 @@
 //! failure exits 1, also after a final dump.
 
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 use subq_oodb::{AdvisorMode, Database, DurableOptions, FileBackend, OptimizedDatabase};
 use subq_server::{Server, ServerConfig};
 use subq_telemetry::log;
@@ -111,7 +113,7 @@ fn main() {
             }
             "--advisor-interval-ms" => {
                 config.advisor_interval =
-                    std::time::Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
+                    Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
             }
             _ => usage(),
         }
@@ -154,11 +156,13 @@ fn main() {
     println!("subqd listening on {}", server.addr());
     log::info(|| format!("listening on {}", server.addr()));
 
-    // `quit`/`stop`/`shutdown` on stdin requests a clean exit. EOF (a
-    // daemonized stdin) just parks the watcher — it never shuts down.
-    let stop = Arc::new(AtomicBool::new(false));
+    // `quit`/`stop`/`shutdown` on stdin requests a clean exit, at once:
+    // the main loop sleeps *in* this channel. EOF (a daemonized stdin)
+    // just ends the watcher — `stop_tx` stays here, so the channel never
+    // reads as disconnected and EOF never shuts down.
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
     {
-        let stop = stop.clone();
+        let stop_tx = stop_tx.clone();
         std::thread::spawn(move || {
             let mut line = String::new();
             loop {
@@ -167,7 +171,7 @@ fn main() {
                     Ok(0) | Err(_) => return,
                     Ok(_) => {
                         if matches!(line.trim(), "quit" | "stop" | "shutdown") {
-                            stop.store(true, Ordering::Relaxed);
+                            let _ = stop_tx.send(());
                             return;
                         }
                     }
@@ -183,9 +187,9 @@ fn main() {
     }
     let mut ticks = 0u64;
     loop {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        let stop = stop_rx.recv_timeout(Duration::from_millis(100));
         ticks += 1;
-        if stop.load(Ordering::Relaxed) {
+        if stop.is_ok() {
             log::info(|| "shutdown requested on stdin".to_owned());
             server.shutdown();
             if let Some(path) = &metrics_dump {

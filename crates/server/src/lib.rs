@@ -20,16 +20,30 @@
 //! * **sessions and backpressure** — per-connection state with ordered
 //!   replies, graceful `BYE`, idle timeout ([`session`]); a full write
 //!   queue answers a typed `BUSY`, a slow reader throttles only itself,
-//!   and every buffer is bounded by [`ServerConfig`].
+//!   and every buffer is bounded by [`ServerConfig`];
+//! * **readiness, not naps** — a worker that moved nothing blocks in one
+//!   `poll(2)` over its sessions' sockets and a wake channel (`poller`:
+//!   one FFI call, the only code here the lint below exempts), the
+//!   acceptor blocks on the listener the same way, the writer blocks
+//!   in its queue. The writer wakes a worker when its tickets complete,
+//!   the acceptor when it deals it a connection, [`Server`] on
+//!   shutdown — between "bytes arrived" or "commit acked" and the reply
+//!   nothing sleeps, and an idle server makes no system calls at all.
 //!
 //! [`client`] is the blocking client library and [`load`] the
 //! mixed-traffic generator behind experiment E14 and the server test
 //! suites. No async runtime anywhere: std threads and loopback sockets.
 
+// `poll(2)` is the one thing the serving layer needs that std does not
+// wrap; everything else stays safe, and the lint keeps it that way.
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod frame;
 pub mod load;
 pub mod metrics;
+#[allow(unsafe_code)]
+mod poller;
 pub mod proto;
 pub mod server;
 mod session;

@@ -39,6 +39,10 @@ pub struct SrvMetrics {
     pub protocol_errors: Counter,
     pub frame_errors: Counter,
     pub idle_closes: Counter,
+    pub worker_wakeups: Counter,
+    /// Wakes sent to a worker or the acceptor: dealt connections,
+    /// completed write batches, shutdown, a failed durable engine.
+    pub waker_signals: Counter,
 }
 
 /// The server metrics, registered on first use.
@@ -61,5 +65,7 @@ pub fn metrics() -> &'static SrvMetrics {
         protocol_errors: subq_telemetry::counter("subq_server_protocol_errors_total"),
         frame_errors: subq_telemetry::counter("subq_server_frame_errors_total"),
         idle_closes: subq_telemetry::counter("subq_server_idle_closes_total"),
+        worker_wakeups: subq_telemetry::counter("subq_server_worker_wakeups_total"),
+        waker_signals: subq_telemetry::counter("subq_server_waker_signals_total"),
     })
 }

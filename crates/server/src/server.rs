@@ -6,18 +6,30 @@
 //! thread. From that point the only paths into the data are the ones
 //! the paper's architecture prescribes: immutable snapshots outward,
 //! one bounded command queue inward.
+//!
+//! No thread of the server sleeps on a timer to find out whether there
+//! is work: workers and the acceptor block in `poll(2)`
+//! ([`crate::poller`]), the writer blocks in its channel, and each is
+//! woken by whoever produced the work — see [`crate::worker`] for the
+//! wake sources and the ordering rule.
 
+use crate::poller::{self, PollFd, Waker};
 use crate::worker::{run_worker, Intake};
 use crate::writer::{run_writer, WriteRequest};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use subq_oodb::{AdvisorConfig, OptimizedDatabase};
+use subq_oodb::{AdvisorConfig, AdvisorMode, OptimizedDatabase};
 use subq_telemetry::{log, SlowLog};
+
+/// How long the acceptor leaves the listener alone after `accept`
+/// failed for want of a resource (descriptors, buffers).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Tuning knobs; every buffer the server allocates is bounded by one of
 /// these.
@@ -81,6 +93,10 @@ pub struct ServerStats {
     /// Fatal framing errors (length over cap, checksum mismatch).
     pub frame_errors: AtomicU64,
     pub idle_closes: AtomicU64,
+    /// Returns of a worker from its blocking wait. Wake-ups per
+    /// operation is the number that shows the loop is event-driven; an
+    /// idle server adds none.
+    pub worker_wakeups: AtomicU64,
     /// The slow-query ring `STATS SLOW` reads back (see
     /// [`ServerConfig::slow_query_us`]).
     pub slow_log: SlowLog,
@@ -98,7 +114,60 @@ pub struct Server {
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
     crashed: Arc<AtomicBool>,
+    /// Every worker's waker and the acceptor's.
+    wakers: Vec<Arc<Waker>>,
     threads: Vec<JoinHandle<()>>,
+}
+
+/// The accept loop: blocks until the listener is readable or its waker
+/// fires (shutdown, crash), accepts everything pending, and deals the
+/// streams round-robin, waking the worker each one went to. A failed
+/// `accept` never ends it: out of descriptors or buffers, or a peer
+/// that aborted in the backlog, are conditions that pass.
+fn run_acceptor(
+    listener: TcpListener,
+    intakes: Vec<Arc<Intake>>,
+    waker: Arc<Waker>,
+    stats: Arc<ServerStats>,
+    shutdown: Arc<AtomicBool>,
+    crashed: Arc<AtomicBool>,
+) {
+    let mut next = 0usize;
+    let mut backing_off = false;
+    loop {
+        // While backing off the listener is left out of the wait — it
+        // is still readable and would end it at once.
+        let mut fds = [
+            PollFd::new(listener.as_raw_fd(), !backing_off, false),
+            waker.pollfd(),
+        ];
+        poller::wait(&mut fds, backing_off.then_some(ACCEPT_BACKOFF));
+        backing_off = false;
+        waker.drain();
+        if shutdown.load(Ordering::Acquire) || crashed.load(Ordering::Acquire) {
+            return;
+        }
+        loop {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    stats.bump(&stats.accepted);
+                    crate::metrics::metrics().accepted.inc();
+                    log::debug(|| format!("accept {peer}"));
+                    let intake = &intakes[next % intakes.len()];
+                    next += 1;
+                    intake.streams.lock().expect("intake poisoned").push(stream);
+                    intake.waker.wake();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    log::info(|| format!("accept failed, retrying in {ACCEPT_BACKOFF:?}: {e}"));
+                    backing_off = true;
+                    break;
+                }
+            }
+        }
+    }
 }
 
 impl Server {
@@ -126,11 +195,20 @@ impl Server {
         let crashed = Arc::new(AtomicBool::new(false));
         let (tx, rx) = sync_channel::<WriteRequest>(config.write_queue.max(1));
 
+        // One waker per worker and, last, the acceptor's — all made
+        // before the first thread so a failure here leaves none behind.
+        let wakers = (0..=workers)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+
         let mut threads = Vec::with_capacity(workers + 2);
         let mut intakes = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for waker in &wakers[..workers] {
             let reader = db.reader();
-            let intake = Arc::new(Intake::default());
+            let intake = Arc::new(Intake {
+                streams: Mutex::new(Vec::new()),
+                waker: waker.clone(),
+            });
             intakes.push(intake.clone());
             let (tx, config, stats) = (tx.clone(), config.clone(), stats.clone());
             let (shutdown, crashed) = (shutdown.clone(), crashed.clone());
@@ -141,38 +219,19 @@ impl Server {
         drop(tx);
 
         {
-            let (shutdown, crashed) = (shutdown.clone(), crashed.clone());
-            let advisor_interval = config.advisor_interval;
+            let (crashed, wakers) = (crashed.clone(), wakers.clone());
+            let advisor_interval =
+                (config.advisor.mode != AdvisorMode::Off).then_some(config.advisor_interval);
             threads.push(std::thread::spawn(move || {
-                run_writer(db, rx, shutdown, crashed, advisor_interval)
+                run_writer(db, rx, crashed, wakers, advisor_interval)
             }));
         }
 
         {
-            let stats = stats.clone();
+            let (waker, stats) = (wakers[workers].clone(), stats.clone());
             let (shutdown, crashed) = (shutdown.clone(), crashed.clone());
             threads.push(std::thread::spawn(move || {
-                let mut next = 0usize;
-                loop {
-                    if shutdown.load(Ordering::Relaxed) || crashed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            stats.bump(&stats.accepted);
-                            crate::metrics::metrics().accepted.inc();
-                            log::debug(|| format!("accept {peer}"));
-                            let intake = &intakes[next % intakes.len()];
-                            next += 1;
-                            intake.streams.lock().expect("intake poisoned").push(stream);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => return,
-                    }
-                }
+                run_acceptor(listener, intakes, waker, stats, shutdown, crashed)
             }));
         }
 
@@ -181,6 +240,7 @@ impl Server {
             stats,
             shutdown,
             crashed,
+            wakers,
             threads,
         })
     }
@@ -200,7 +260,7 @@ impl Server {
     /// [`OptimizedDatabase::open`] over the surviving files and a new
     /// [`Server::start`].
     pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
+        self.crashed.load(Ordering::Acquire)
     }
 
     /// Stops accepting, drops every session, and joins all threads.
@@ -209,7 +269,13 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::Release);
+        // Workers and the acceptor may be blocked with nothing on the
+        // way to end the wait; the writer follows once the workers have
+        // dropped their senders.
+        for waker in &self.wakers {
+            waker.wake();
+        }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }

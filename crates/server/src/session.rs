@@ -15,15 +15,24 @@
 //! `outbound_limit` (a slow reader throttles *itself*, not the server),
 //! and a session that makes no progress for `idle_timeout` is closed.
 //! Every buffer in sight is bounded by configuration.
+//!
+//! A session never waits by itself. What its worker should block on is
+//! read off the state above ([`Session::pollfd`]): readable exactly
+//! when [`Session::pump`] would read, writable exactly while output is
+//! unsent, nothing at all while the only thing owed is a writer ticket —
+//! that one arrives through the worker's [`Waker`].
 
 use crate::frame::{encode_frame, FrameDecoder, FrameError};
+use crate::poller::{PollFd, Waker};
 use crate::proto::{ErrorCode, Request, Response};
 use crate::server::{ServerConfig, ServerStats};
 use crate::writer::{Ticket, WriteCmd, WriteRequest};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::Arc;
 use std::time::Instant;
 use subq_dl::{DlModel, PathFilter, QueryClassDecl};
 use subq_oodb::Reader;
@@ -93,18 +102,20 @@ impl Session {
         self.replies.push_back(Outcome::Ready(response));
     }
 
-    /// One round of work; returns whether anything progressed.
+    /// One round of work; returns whether anything progressed. Write
+    /// commands go out on `tx` naming `waker`, the pumping worker's.
     pub(crate) fn pump(
         &mut self,
         reader: &mut Reader,
         tx: &SyncSender<WriteRequest>,
+        waker: &Arc<Waker>,
         config: &ServerConfig,
         stats: &ServerStats,
         now: Instant,
     ) -> bool {
         let mut progressed = false;
         progressed |= self.read_input(config, stats);
-        progressed |= self.process_work(reader, tx, config, stats);
+        progressed |= self.process_work(reader, tx, waker, config, stats);
         progressed |= self.flush_replies(stats);
         progressed |= self.write_output();
         if progressed {
@@ -130,13 +141,36 @@ impl Session {
         self.sent == self.outbound.len()
     }
 
-    /// Reads available bytes and extracts complete frames, unless
-    /// admission control says the session has enough queued already.
+    /// Whether the socket is to be read: not once input has ended, and
+    /// not while admission control says the session has enough queued
+    /// already — parsed requests at `inbox_limit`, or unsent output at
+    /// `outbound_limit`.
+    fn wants_input(&self, config: &ServerConfig) -> bool {
+        !self.input_done
+            && self.work.len() < config.inbox_limit
+            && self.outbound.len() - self.sent < config.outbound_limit
+    }
+
+    /// What the worker waits on for this session after a pump that
+    /// moved nothing. With neither interest the entry is inert, so a
+    /// throttled or half-closed peer cannot end the wait by hanging up.
+    pub(crate) fn pollfd(&self, config: &ServerConfig) -> PollFd {
+        PollFd::new(
+            self.stream.as_raw_fd(),
+            self.wants_input(config),
+            !self.flushed(),
+        )
+    }
+
+    /// When the idle timeout reaps this session, failing progress
+    /// (`None`: a timeout too long to ever come due).
+    pub(crate) fn idle_deadline(&self, config: &ServerConfig) -> Option<Instant> {
+        self.last_activity.checked_add(config.idle_timeout)
+    }
+
+    /// Reads available bytes and extracts complete frames.
     fn read_input(&mut self, config: &ServerConfig, stats: &ServerStats) -> bool {
-        if self.input_done
-            || self.work.len() >= config.inbox_limit
-            || self.outbound.len() - self.sent >= config.outbound_limit
-        {
+        if !self.wants_input(config) {
             return false;
         }
         let mut progressed = false;
@@ -226,6 +260,7 @@ impl Session {
         &mut self,
         reader: &mut Reader,
         tx: &SyncSender<WriteRequest>,
+        waker: &Arc<Waker>,
         config: &ServerConfig,
         stats: &ServerStats,
     ) -> bool {
@@ -360,6 +395,7 @@ impl Session {
                     match tx.try_send(WriteRequest {
                         cmd,
                         ticket: ticket.clone(),
+                        waker: waker.clone(),
                     }) {
                         Ok(()) => {
                             crate::metrics::metrics().queue_depth.add(1);
@@ -402,19 +438,19 @@ impl Session {
     fn flush_replies(&mut self, stats: &ServerStats) -> bool {
         let mut progressed = false;
         loop {
-            let polled = match self.replies.front() {
+            let completed = match self.replies.front() {
                 None => break,
                 Some(Outcome::Ready(_)) => None,
                 Some(Outcome::Waiting {
                     ticket,
                     submitted,
                     ddl,
-                }) => match ticket.poll() {
+                }) => match ticket.take() {
                     Some(response) => Some((response, *submitted, *ddl)),
                     None => break,
                 },
             };
-            let response = match polled {
+            let response = match completed {
                 Some((response, submitted, ddl)) => {
                     self.outstanding -= 1;
                     let metrics = crate::metrics::metrics();

@@ -11,18 +11,25 @@
 //! WAL's own group commit (E13 measures that curve; E14 measures this
 //! end of it).
 //!
+//! Nobody polls for a completion: every request names its worker's
+//! [`Waker`], and after a batch's fsync and its last completed ticket
+//! the writer wakes each distinct worker of the batch once. An idle
+//! writer blocks in the channel until a command arrives or an advisor
+//! pass is due.
+//!
 //! Admission control lives at the channel: it is a rendezvous of size
 //! `ServerConfig::write_queue`, workers only ever `try_send`, and a full
 //! queue turns into a typed `BUSY` reply instead of buffering — the
 //! writer can be *behind*, never *besieged*.
 
+use crate::poller::Waker;
 use crate::proto::{ErrorCode, Response, TxnOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use subq_dl::{validate_model, DlModel, QueryClassDecl};
-use subq_oodb::{Database, OptimizedDatabase};
+use subq_oodb::{Database, DurableError, OptimizedDatabase};
 use subq_telemetry::log;
 
 /// A mutation command, already parsed and ready for the writer.
@@ -38,8 +45,8 @@ pub enum WriteCmd {
     Advise,
 }
 
-/// The completion slot a worker polls while the writer works. Single
-/// producer (the writer), single consumer (the owning session).
+/// The completion slot the writer fills and the owning session empties
+/// once its worker has been woken. Single producer, single consumer.
 #[derive(Clone, Debug)]
 pub struct Ticket(Arc<Mutex<Option<Response>>>);
 
@@ -53,16 +60,18 @@ impl Ticket {
     }
 
     /// Takes the response once the writer has produced it.
-    pub(crate) fn poll(&self) -> Option<Response> {
+    pub(crate) fn take(&self) -> Option<Response> {
         self.0.lock().expect("ticket poisoned").take()
     }
 }
 
-/// One queued command plus its completion slot.
+/// One queued command, its completion slot, and whom to wake once the
+/// slot is filled.
 #[derive(Debug)]
 pub struct WriteRequest {
     pub cmd: WriteCmd,
     pub ticket: Ticket,
+    pub waker: Arc<Waker>,
 }
 
 fn internal(message: &str) -> Response {
@@ -175,7 +184,7 @@ fn apply_cmd(
     db: &mut OptimizedDatabase,
     durable: bool,
     cmd: &WriteCmd,
-) -> Result<Response, subq_oodb::DurableError> {
+) -> Result<Response, DurableError> {
     match cmd {
         WriteCmd::Txn(ops) => {
             if let Err(reply) = validate_txn(db.database().model(), ops) {
@@ -243,58 +252,70 @@ fn apply_cmd(
     }
 }
 
-/// One advisor pass between batches; returns `false` when the durable
-/// engine failed underneath it and the writer must stop.
-fn advisor_tick(db: &mut OptimizedDatabase, crashed: &AtomicBool) -> bool {
-    match db.run_advisor() {
-        Ok(pass) => {
-            if !pass.materialized.is_empty() || !pass.evicted.is_empty() {
-                log::info(|| {
-                    format!(
-                        "advisor pass: materialized={:?} evicted={:?} harvested={}",
-                        pass.materialized, pass.evicted, pass.harvested
-                    )
-                });
-            }
-            true
-        }
-        Err(_) => {
-            crashed.store(true, Ordering::Relaxed);
-            false
+/// One advisor pass between batches.
+fn advisor_tick(db: &mut OptimizedDatabase) -> Result<(), DurableError> {
+    let pass = db.run_advisor()?;
+    if !pass.materialized.is_empty() || !pass.evicted.is_empty() {
+        log::info(|| {
+            format!(
+                "advisor pass: materialized={:?} evicted={:?} harvested={}",
+                pass.materialized, pass.evicted, pass.harvested
+            )
+        });
+    }
+    Ok(())
+}
+
+/// The writer thread. It ends when every worker has dropped its sender
+/// (shutdown: the woken workers exit first) or when the durable engine
+/// fails; the failure path raises `crashed` and wakes `wakers` — every
+/// worker and the acceptor — which is the only way a blocked thread
+/// learns that nothing more will be acknowledged.
+pub(crate) fn run_writer(
+    mut db: OptimizedDatabase,
+    rx: Receiver<WriteRequest>,
+    crashed: Arc<AtomicBool>,
+    wakers: Vec<Arc<Waker>>,
+    advisor_interval: Option<Duration>,
+) {
+    if serve_writes(&mut db, &rx, &crashed, advisor_interval).is_err() {
+        crashed.store(true, Ordering::Release);
+        for waker in &wakers {
+            waker.wake();
         }
     }
 }
 
-/// The writer thread: drain, apply, one sync, then acknowledge. Between
-/// batches (and on idle ticks) it runs the view advisor at most once per
-/// `advisor_interval` — mining and auto-materialization ride the same
-/// thread as every other catalog mutation, strictly outside any
-/// transaction.
-pub(crate) fn run_writer(
-    mut db: OptimizedDatabase,
-    rx: Receiver<WriteRequest>,
-    shutdown: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    advisor_interval: Duration,
-) {
+/// Drain, apply, one sync, acknowledge, wake. Between batches, and when
+/// idle for `advisor_interval` (`None`: the advisor is off and an idle
+/// writer sleeps until a command arrives), it runs the view advisor —
+/// mining and auto-materialization ride the same thread as every other
+/// catalog mutation, strictly outside any transaction. `Err` means the
+/// durable engine failed; queued requests are left to drown with the
+/// channel.
+fn serve_writes(
+    db: &mut OptimizedDatabase,
+    rx: &Receiver<WriteRequest>,
+    crashed: &AtomicBool,
+    advisor_interval: Option<Duration>,
+) -> Result<(), DurableError> {
     let durable = db.durability_stats().is_some();
     let mut last_advice = Instant::now();
     loop {
-        let first = match rx.recv_timeout(Duration::from_millis(5)) {
+        let received = match advisor_interval {
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(interval) => {
+                rx.recv_timeout((last_advice + interval).saturating_duration_since(Instant::now()))
+            }
+        };
+        let first = match received {
             Ok(request) => request,
             Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                if last_advice.elapsed() >= advisor_interval {
-                    last_advice = Instant::now();
-                    if !advisor_tick(&mut db, &crashed) {
-                        return;
-                    }
-                }
+                last_advice = Instant::now();
+                advisor_tick(db)?;
                 continue;
             }
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return Ok(()),
         };
         let mut batch = vec![first];
         while let Ok(request) = rx.try_recv() {
@@ -304,52 +325,61 @@ pub(crate) fn run_writer(
             .queue_depth
             .sub(batch.len() as i64);
         let batch_len = batch.len();
-        let mut completions: Vec<(Ticket, Response)> = Vec::with_capacity(batch.len());
-        let mut failed = false;
+        let mut completions: Vec<(Ticket, Response)> = Vec::with_capacity(batch_len);
+        let mut to_wake: Vec<Arc<Waker>> = Vec::new();
+        let mut failure = None;
         for request in batch {
-            if failed {
-                request.ticket.complete(internal("durable engine failed"));
-                continue;
+            if !to_wake.iter().any(|w| Arc::ptr_eq(w, &request.waker)) {
+                to_wake.push(request.waker);
             }
-            match apply_cmd(&mut db, durable, &request.cmd) {
-                Ok(response) => completions.push((request.ticket, response)),
-                Err(_) => {
-                    failed = true;
-                    crashed.store(true, Ordering::Relaxed);
-                    request.ticket.complete(internal("durable engine failed"));
-                }
-            }
+            // Once the engine has failed nothing more is applied; the
+            // replies of a failed batch are overwritten below.
+            let response = if failure.is_some() {
+                internal("durable engine failed")
+            } else {
+                apply_cmd(db, durable, &request.cmd).unwrap_or_else(|e| {
+                    failure = Some(e);
+                    internal("durable engine failed")
+                })
+            };
+            completions.push((request.ticket, response));
         }
         // Group commit: the whole drained batch rides one fsync, and no
         // ticket completes before it — an ack is a durability promise.
-        if durable && !failed && db.sync_durable().is_err() {
-            failed = true;
-            crashed.store(true, Ordering::Relaxed);
-            for (ticket, _) in completions.drain(..) {
-                ticket.complete(internal("durable engine failed"));
+        if durable && failure.is_none() {
+            failure = db.sync_durable().err();
+        }
+        if failure.is_some() {
+            // Nothing in the batch was synced, so nothing in it is
+            // acknowledged. And `crashed` goes up before any ticket: a
+            // client that has read the typed error must find the server
+            // already reporting the crash.
+            crashed.store(true, Ordering::Release);
+            for (_, response) in &mut completions {
+                *response = internal("durable engine failed");
             }
         }
         for (ticket, response) in completions {
             ticket.complete(response);
         }
-        if !failed {
-            log::debug(|| {
-                format!(
-                    "writer batch of {batch_len} committed (durable={durable}, version={})",
-                    db.database().data_version()
-                )
-            });
+        if let Some(e) = failure {
+            return Err(e);
         }
-        if failed {
-            // Leave queued requests to drown with the channel: workers
-            // observe `crashed` and drop their sessions.
-            return;
+        // Publication preceded every completion and every completion
+        // precedes the wake, so the woken loop's `sync` adopts a
+        // snapshot at least as new as any version it is about to ack.
+        for waker in &to_wake {
+            waker.wake();
         }
-        if last_advice.elapsed() >= advisor_interval {
+        log::debug(|| {
+            format!(
+                "writer batch of {batch_len} committed (durable={durable}, version={})",
+                db.database().data_version()
+            )
+        });
+        if advisor_interval.is_some_and(|interval| last_advice.elapsed() >= interval) {
             last_advice = Instant::now();
-            if !advisor_tick(&mut db, &crashed) {
-                return;
-            }
+            advisor_tick(db)?;
         }
     }
 }

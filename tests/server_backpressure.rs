@@ -15,12 +15,19 @@
 //!   hurts only the slow session), and the idle timeout eventually
 //!   reaps it — all while a healthy session on the same single worker
 //!   keeps doing full round trips.
+//!
+//! And the other side of bounded buffers: a worker with nothing it can
+//! do *blocks*. Throttled, stalled and silent sessions cost no loop
+//! turns (`worker_wakeups` stands still), and the idle timeout fires
+//! from inside that blocking wait.
 
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use subq_oodb::OptimizedDatabase;
+use subq_server::frame::encode_frame;
 use subq_server::{view_query, Client, Request, Response, Server, ServerConfig, TxnOp};
 use subq_workload::{churn_trace, ChurnParams, ChurnTrace};
 
@@ -208,5 +215,130 @@ fn slow_readers_throttle_only_themselves_and_get_reaped() {
         }
     }
     healthy.close().expect("graceful BYE");
+    server.shutdown();
+}
+
+/// Pipelines queries without reading a reply until the client's own
+/// socket refuses more — which it only does once the server has stopped
+/// reading this session: replies fill the path back, the outbound cap
+/// is reached, admission control shuts the inbound side, and requests
+/// back up into the client's send buffer.
+fn pipeline_until_stalled(client: &mut Client, trace: &ChurnTrace) {
+    let mut frame = Vec::new();
+    encode_frame(
+        Request::Query(view_query(trace, 0)).render().as_bytes(),
+        &mut frame,
+    );
+    let stream = client.stream_mut();
+    stream.set_nonblocking(true).unwrap();
+    let mut sent = 0usize;
+    loop {
+        match stream.write(&frame) {
+            Ok(n) if n == frame.len() => sent += 1,
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) => panic!("pipelining query {sent}: {e}"),
+        }
+        assert!(sent < 1_000_000, "the server never stopped reading");
+    }
+    stream.set_nonblocking(false).unwrap();
+}
+
+#[test]
+fn a_worker_with_only_stuck_and_silent_sessions_does_not_turn() {
+    let (server, trace) = serve(
+        ChurnParams {
+            objects: 300,
+            transactions: 0,
+            ..ChurnParams::default()
+        },
+        ServerConfig {
+            workers: 1,
+            outbound_limit: 4096,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    // Healthy and silent: nothing owed either way.
+    let mut healthy = Client::connect(addr).expect("connects");
+    healthy.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        healthy.request(&Request::Ping).expect("pong"),
+        Response::Pong { .. }
+    ));
+    // Never reads: stuck at `outbound_limit` with output it cannot send
+    // and input it will not take.
+    let mut stalled = Client::connect(addr).expect("connects");
+    pipeline_until_stalled(&mut stalled, &trace);
+    // The same, and its sending side is closed on top: a FIN the server
+    // is not going to read up to.
+    let mut half_closed = Client::connect(addr).expect("connects");
+    pipeline_until_stalled(&mut half_closed, &trace);
+    half_closed
+        .stream_mut()
+        .shutdown(Shutdown::Write)
+        .expect("half-closes");
+
+    // Let the worker finish what it had already read.
+    std::thread::sleep(Duration::from_millis(300));
+    let stats = server.stats();
+    let before = stats.worker_wakeups.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_millis(300));
+    let turns = stats.worker_wakeups.load(Ordering::Relaxed) - before;
+    assert!(
+        turns <= 5,
+        "an idle worker returned from its wait {turns} times in 300 ms"
+    );
+
+    // Blocked is not wedged: the healthy session is served at once.
+    let asked = Instant::now();
+    assert!(matches!(
+        healthy.request(&Request::Ping).expect("pong"),
+        Response::Pong { .. }
+    ));
+    assert!(asked.elapsed() < Duration::from_secs(2));
+    assert_eq!(stats.idle_closes.load(Ordering::Relaxed), 0);
+    healthy.close().expect("graceful BYE");
+    server.shutdown();
+}
+
+#[test]
+fn the_idle_timeout_fires_from_inside_the_blocking_wait() {
+    let (server, _) = serve(
+        ChurnParams {
+            transactions: 0,
+            ..ChurnParams::default()
+        },
+        ServerConfig {
+            workers: 1,
+            idle_timeout: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(matches!(
+        client.request(&Request::Ping).expect("pong"),
+        Response::Pong { .. }
+    ));
+    let stats = server.stats();
+    let before = stats.worker_wakeups.load(Ordering::Relaxed);
+    // No traffic at all: the only thing that can end the worker's wait
+    // is the session's own deadline.
+    let silent_since = Instant::now();
+    let mut buf = [0u8; 16];
+    let end = client.stream_mut().read(&mut buf);
+    let waited = silent_since.elapsed();
+    assert!(
+        matches!(end, Ok(0)) || matches!(&end, Err(e) if e.kind() == ErrorKind::ConnectionReset),
+        "expected the reap to close the connection, got {end:?}"
+    );
+    assert!(
+        waited >= Duration::from_millis(150) && waited < Duration::from_secs(2),
+        "reaped after {waited:?} of a 200 ms timeout"
+    );
+    assert_eq!(stats.idle_closes.load(Ordering::Relaxed), 1);
+    let turns = stats.worker_wakeups.load(Ordering::Relaxed) - before;
+    assert!(turns <= 3, "{turns} wake-ups to wait out one deadline");
     server.shutdown();
 }

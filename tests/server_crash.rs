@@ -11,6 +11,7 @@
 //! run over the same trace. `crash_points` over the golden WAL then
 //! yields offsets that are meaningful in every crashed re-run.
 
+use std::io::{ErrorKind, Read};
 use std::sync::Arc;
 use std::time::Duration;
 use subq_oodb::durable::wal::WAL_FILE;
@@ -222,4 +223,48 @@ fn a_clean_shutdown_reopens_at_the_final_boundary() {
     assert_eq!(recovered.database().data_version(), last);
     let scratch = scratch_at(&trace, &committed, last);
     assert_serves_boundary(recovered, &trace, last, &scratch);
+}
+
+#[test]
+fn a_durable_failure_resets_idle_sessions_without_further_traffic() {
+    let trace = churn_trace(31, ChurnParams::default());
+    let backend = Arc::new(FaultyBackend::new());
+    let server = durable_server(&trace, backend.clone());
+    let mut idle: Vec<Client> = (0..3)
+        .map(|_| {
+            let mut client = Client::connect(server.addr()).expect("connects");
+            client.set_timeout(Some(Duration::from_secs(2))).unwrap();
+            assert!(matches!(
+                client.request(&Request::Ping).expect("pongs"),
+                Response::Pong { .. }
+            ));
+            client
+        })
+        .collect();
+
+    // The very next WAL append dies; one driving session trips it.
+    backend.crash_after_bytes(0);
+    let mut driver = Client::connect(server.addr()).expect("connects");
+    driver.set_timeout(Some(Duration::from_secs(2))).unwrap();
+    match driver.request(&churn_txn_request(&trace.transactions[0])) {
+        Ok(Response::Error {
+            code: ErrorCode::Internal,
+            ..
+        })
+        | Err(_) => {}
+        Ok(other) => panic!("unexpected reply {other:?}"),
+    }
+
+    // The idle sessions never send another byte: only the writer's wake
+    // can tell their blocked worker that the engine is gone.
+    for (i, client) in idle.iter_mut().enumerate() {
+        let end = client.stream_mut().read(&mut [0u8; 16]);
+        assert!(
+            matches!(end, Ok(0))
+                || matches!(&end, Err(e) if e.kind() == ErrorKind::ConnectionReset),
+            "idle session {i} should be reset by the crash, got {end:?}"
+        );
+    }
+    assert!(server.crashed());
+    server.shutdown();
 }

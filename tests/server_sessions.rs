@@ -15,11 +15,19 @@
 //! the (tiny) group for the permutation where every prefix lands on the
 //! acknowledged version — any other order is rejected, any missing
 //! order is a server bug.
+//!
+//! The last two tests pin the wake-ups the readiness-driven worker loop
+//! lives on: with no timer anywhere to paper over a missed one, a lost
+//! completion wake shows as a reply that never comes, and a lost
+//! shutdown wake as a `shutdown()` that never returns.
 
-use std::sync::Mutex;
+use std::io::{ErrorKind, Read};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 use subq_oodb::{evaluate_query, Database, OptimizedDatabase};
-use subq_server::{churn_txn_request, view_query, Client, Request, Response, Server, ServerConfig};
+use subq_server::{
+    churn_txn_request, view_query, Client, Request, Response, Server, ServerConfig, TxnOp,
+};
 use subq_workload::traffic::{client_schedule, TrafficOp, TrafficParams};
 use subq_workload::{churn_trace, ChurnParams, ChurnTrace};
 
@@ -306,4 +314,112 @@ fn four_concurrent_sessions_agree_with_scratch_reevaluation() {
     });
     server.shutdown();
     check_equivalence(&trace, events.into_inner().unwrap());
+}
+
+#[test]
+fn pipelined_commits_and_queries_never_miss_a_wake_up() {
+    let (workers, per_worker, pairs, window) = (2usize, 8usize, 500usize, 25usize);
+    let (server, trace) = serve(
+        404,
+        ChurnParams {
+            transactions: 0,
+            ..ChurnParams::default()
+        },
+        ServerConfig {
+            workers,
+            // Room for every ticket the sessions' inboxes can hold: no
+            // `BUSY`, every transaction commits.
+            write_queue: 1024,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        // Connections are dealt round-robin: `per_worker` on each.
+        for c in 0..workers * per_worker {
+            let trace = &trace;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                // The bound on every single reply.
+                client.set_timeout(Some(Duration::from_secs(2))).unwrap();
+                let mut last_committed = 0u64;
+                for base in (0..pairs).step_by(window) {
+                    for i in base..base + window {
+                        client
+                            .send(&Request::Txn(vec![TxnOp::Add {
+                                object: format!("wake_{c}_{i}"),
+                            }]))
+                            .expect("pipelines");
+                        client
+                            .send(&Request::Query(view_query(trace, c + i)))
+                            .expect("pipelines");
+                    }
+                    for i in base..base + window {
+                        match client.receive() {
+                            Ok(Response::Committed { version }) => {
+                                assert!(version > last_committed, "session {c} txn {i}");
+                                last_committed = version;
+                            }
+                            other => panic!("session {c} txn {i}: {other:?}"),
+                        }
+                        match client.receive() {
+                            Ok(Response::Answers { version, .. }) => assert!(
+                                version >= last_committed,
+                                "session {c} query {i}: answered at {version} after \
+                                 an ack at {last_committed}"
+                            ),
+                            other => panic!("session {c} query {i}: {other:?}"),
+                        }
+                    }
+                }
+                client.close().expect("graceful BYE");
+            });
+        }
+    });
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_workers_blocked_on_idle_sessions() {
+    let (server, _) = serve(
+        7,
+        ChurnParams {
+            transactions: 0,
+            ..ChurnParams::default()
+        },
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let mut idle: Vec<Client> = (0..4)
+        .map(|_| {
+            let mut client = Client::connect(server.addr()).expect("connects");
+            client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert!(matches!(
+                client.request(&Request::Ping).expect("pong"),
+                Response::Pong { .. }
+            ));
+            client
+        })
+        .collect();
+    // Both workers and the acceptor now sit in a wait nothing will end
+    // but the wake `shutdown` sends.
+    std::thread::sleep(Duration::from_millis(50));
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown with idle sessions open returns within a second");
+    for client in &mut idle {
+        let end = client.stream_mut().read(&mut [0u8; 16]);
+        assert!(
+            matches!(end, Ok(0))
+                || matches!(&end, Err(e) if e.kind() == ErrorKind::ConnectionReset),
+            "an idle session should be closed by shutdown, got {end:?}"
+        );
+    }
 }
