@@ -1,9 +1,11 @@
 //! Prints the E11 table: aggregate plan+answer throughput of the
 //! snapshot-isolated read path at 1/2/4/8 reader threads with a
 //! concurrent churn writer (committing and publishing a transaction
-//! every ~1 ms), p50/p99 plan latency under that churn, and the
-//! snapshot-publish cost versus transaction size. Writes the rows to
-//! `BENCH_e11.json`; `perf_smoke` enforces the scalability bounds (see
+//! every ~1 ms), p50/p99 plan latency under that churn, and the cost of a
+//! whole commit (mutations, maintenance, publication, and a reader
+//! adopting it) versus transaction size at two store sizes. Writes the
+//! rows to `BENCH_e11.json`; `perf_smoke` enforces the scalability bounds
+//! and the small commit's independence of the store size (see
 //! its module doc for how the wall-clock bound scales with the cores the
 //! machine actually has) and the deterministic zero-resaturation
 //! invariant.
@@ -70,24 +72,32 @@ fn main() {
     }
 
     println!();
-    println!("Snapshot publish cost vs transaction size (10k-object store, 12 views):");
-    println!("| txn ops | publish |");
-    println!("|---|---|");
-    for txn_ops in [1usize, 8, 64, 512] {
-        let publish_ns = publish_cost_arm(txn_ops);
-        println!("| {} | {:.1} µs |", txn_ops, publish_ns as f64 / 1e3);
-        json_rows.push(json_object(&[
-            ("experiment", json_str("e11_publish_cost")),
-            ("cores", cores.to_string()),
-            ("txn_ops", txn_ops.to_string()),
-            ("publish_ns", publish_ns.to_string()),
-        ]));
+    println!(
+        "Commit cost (update + publish + one reader sync, 12 views) vs transaction and store size:"
+    );
+    println!("| objects | txn ops | commit + sync |");
+    println!("|---|---|---|");
+    for objects in [10_000usize, 40_000] {
+        for txn_ops in [1usize, 8, 64, 512] {
+            let commit_ns = publish_cost_arm(objects, txn_ops);
+            println!(
+                "| {objects} | {txn_ops} | {:.1} µs |",
+                commit_ns as f64 / 1e3
+            );
+            json_rows.push(json_object(&[
+                ("experiment", json_str("e11_commit_cost")),
+                ("cores", cores.to_string()),
+                ("objects", objects.to_string()),
+                ("txn_ops", txn_ops.to_string()),
+                ("commit_ns", commit_ns.to_string()),
+            ]));
+        }
     }
 
     write_json_rows("BENCH_e11.json", &json_rows);
     println!();
     println!("Readers plan and answer over immutable snapshots with no locks and no");
     println!("writer involvement; the writer maintains views incrementally (in parallel");
-    println!("across independent lattice components) and publishes with one atomic swap,");
-    println!("whose cost tracks the shards a transaction touched, not the store size.");
+    println!("across independent lattice components) and publishes with one atomic swap;");
+    println!("a commit copies the extents, views and attribute chunks it touched, not the store.");
 }

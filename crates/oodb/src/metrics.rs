@@ -20,6 +20,9 @@ pub struct OodbMetrics {
     pub reader_plan_ns: Histogram,
     /// Reader-side `execute` latency (nanoseconds).
     pub reader_execute_ns: Histogram,
+    /// [`Reader::sync`](crate::snapshot::Reader::sync) when it adopts a
+    /// newer snapshot, freeing the replaced one included (nanoseconds).
+    pub reader_sync_ns: Histogram,
     /// `commit`/`commit_durable` end-to-end latency, mutation through
     /// snapshot publication (nanoseconds).
     pub commit_publish_ns: Histogram,
@@ -66,6 +69,7 @@ pub fn metrics() -> &'static OodbMetrics {
         execute_ns: subq_telemetry::histogram("subq_execute_ns"),
         reader_plan_ns: subq_telemetry::histogram("subq_reader_plan_ns"),
         reader_execute_ns: subq_telemetry::histogram("subq_reader_execute_ns"),
+        reader_sync_ns: subq_telemetry::histogram("subq_reader_sync_ns"),
         commit_publish_ns: subq_telemetry::histogram("subq_commit_publish_ns"),
         checkpoint_ns: subq_telemetry::histogram("subq_checkpoint_ns"),
         recovery_ns: subq_telemetry::histogram("subq_recovery_ns"),

@@ -458,9 +458,15 @@ impl OptimizedDatabase {
     /// Publishes the current state as an immutable [`Snapshot`]: brings
     /// every view up to the current data version first (so the published
     /// pair (state, extensions) is internally consistent), then swaps the
-    /// snapshot cell. Cost is proportional to the shards *touched* since
-    /// the last publication — untouched classes, attributes, views, and
-    /// the whole translation are shared by `Arc`.
+    /// snapshot cell. The publication itself clones one `Arc` per class,
+    /// attribute, name chunk and view; what a transaction pays for being
+    /// published is the copy its *next* mutation makes of whatever it
+    /// touches that the snapshot now shares — a class extent, a view
+    /// extension, one forward and one reverse id-range chunk per
+    /// attribute pair (see [`crate::store`]) — and a reader pays for
+    /// freeing the replaced copies when it lets the old snapshot go.
+    /// Neither depends on how much of the store the transaction left
+    /// alone.
     pub fn publish_snapshot(&mut self) -> Arc<Snapshot> {
         // Published views must be classified — readers have no oracle to
         // classify with, and an unclassified catalog would traverse (and

@@ -20,9 +20,11 @@
 //!   write-write concurrency to reason about).
 //!
 //! Publishing is cheap because every bulky component is copy-on-write at
-//! shard granularity: the store clones per-class/per-attribute `Arc`
-//! shards ([`crate::store`]), the catalog clones per-view `Arc`'d
-//! definitions and extensions ([`crate::views::MaterializedView`]), and
+//! a granularity a small transaction touches little of: the store shares
+//! per-class extents, per-attribute id-range *chunks* of postings and
+//! name-table chunks ([`crate::store`]), the catalog clones per-view
+//! `Arc`'d definitions and extensions
+//! ([`crate::views::MaterializedView`]), and
 //! the translation (vocabulary, term arena, schema) is frozen into an
 //! `Arc` that is rebuilt only when the writer actually interned new
 //! concepts.
@@ -296,12 +298,16 @@ impl Reader {
     /// writer interned new concepts or re-translated after a schema
     /// change), the private arena, vocabulary, and cache are rebuilt —
     /// locally interned ids would otherwise collide with the new shared
-    /// prefix. Data-only publications keep all private state.
+    /// prefix. Data-only publications keep all private state. Adopting is
+    /// also where a publication costs the read path time: the last
+    /// reader to let go of the replaced snapshot frees whatever the
+    /// writer copied since (`subq_reader_sync_ns`).
     pub fn sync(&mut self) -> bool {
         let latest = self.cell.load();
         if Arc::ptr_eq(&latest, &self.snapshot) {
             return false;
         }
+        let _span = crate::metrics::metrics().reader_sync_ns.span();
         if !Arc::ptr_eq(&latest.translated, &self.snapshot.translated) {
             self.vocabulary = latest.translated.vocabulary.clone();
             self.arena = latest.translated.arena.clone();

@@ -20,10 +20,16 @@
 //! attribute, so [`Database::attr_values`] is a lookup proportional to the
 //! answer instead of a scan over every pair of the attribute, and the
 //! maintainer can walk paths backwards when computing candidate objects.
+//! How finely those indexes are shared between a state and its clones —
+//! per chunk of `ATTR_CHUNK` object ids, in each direction — is decided
+//! here and nowhere else: every other module reads through
+//! [`Database::attr_out`] / [`Database::attr_in`] and writes through
+//! [`Database::assert_attr`] / [`Database::retract_attr`].
 
 use crate::maintain::{Delta, DeltaLog};
 use crate::objset::ObjSet;
 use fxhash::{FxHashMap, FxHashSet, FxHasher};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hasher;
@@ -104,74 +110,125 @@ impl fmt::Display for ConformanceViolation {
     }
 }
 
+/// Object ids per copy-on-write chunk of an attribute's postings: the
+/// unit a mutation after a snapshot copies, in each direction.
+const ATTR_CHUNK: usize = 256;
+
+/// One direction of an attribute index, key → posting list, split by key
+/// id range: `chunks[key / ATTR_CHUNK]` holds the keys of that range.
+/// A clone shares every chunk; a mutation after a clone copies only the
+/// chunk its key falls in. Ranges that hold no key are unallocated.
+#[derive(Clone, Debug, Default)]
+struct Postings {
+    chunks: Vec<Option<Arc<FxHashMap<ObjId, ObjSet>>>>,
+    /// Number of keys over all chunks (kept in step with them).
+    keys: usize,
+}
+
+impl Postings {
+    fn get(&self, key: ObjId) -> Option<&ObjSet> {
+        self.chunks
+            .get(key.index() / ATTR_CHUNK)?
+            .as_ref()?
+            .get(&key)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ObjId, &ObjSet)> {
+        self.chunks
+            .iter()
+            .flatten()
+            .flat_map(|chunk| chunk.iter().map(|(&key, values)| (key, values)))
+    }
+
+    /// The posting list under `key`, created empty when absent, in a
+    /// chunk this index owns alone (copied first if a clone shares it).
+    fn entry(&mut self, key: ObjId) -> &mut ObjSet {
+        let at = key.index() / ATTR_CHUNK;
+        if self.chunks.len() <= at {
+            self.chunks.resize(at + 1, None);
+        }
+        let chunk = Arc::make_mut(self.chunks[at].get_or_insert_with(Arc::default));
+        match chunk.entry(key) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                self.keys += 1;
+                slot.insert(ObjSet::new())
+            }
+        }
+    }
+
+    /// Removes `value` from under `key`, the key with its last value and
+    /// the chunk with its last key. Callers probe that the pair is
+    /// present first, so the chunk copy this may cause is never wasted.
+    fn remove(&mut self, key: ObjId, value: ObjId) {
+        let at = key.index() / ATTR_CHUNK;
+        let Some(Some(chunk)) = self.chunks.get_mut(at) else {
+            return;
+        };
+        let chunk = Arc::make_mut(chunk);
+        let Some(values) = chunk.get_mut(&key) else {
+            return;
+        };
+        values.remove(&value);
+        if values.is_empty() {
+            chunk.remove(&key);
+            self.keys -= 1;
+            if chunk.is_empty() {
+                self.chunks[at] = None;
+            }
+        }
+    }
+}
+
 /// The pairs of one primitive attribute, indexed in both directions.
 ///
-/// `forward[from]` holds the values, `reverse[to]` the sources; the two
-/// maps always describe the same pair set. Postings are compressed
-/// bitmaps ([`ObjSet`]), and the total pair count is maintained as an
-/// O(1) statistic for the cost model.
+/// `forward` maps a source to its values, `reverse` a value to its
+/// sources; the two always describe the same pair set. Posting lists are
+/// compressed bitmaps ([`ObjSet`]) held in copy-on-write chunks of
+/// [`ATTR_CHUNK`] ids ([`Postings`]), so changing one pair of an index a
+/// snapshot shares copies one forward and one reverse chunk, not the
+/// attribute. Pair and key counts are maintained as O(1) statistics for
+/// the cost model.
 #[derive(Clone, Debug, Default)]
 struct AttrIndex {
-    forward: FxHashMap<ObjId, ObjSet>,
-    reverse: FxHashMap<ObjId, ObjSet>,
-    /// Number of stored pairs (cardinality statistic, kept in step with
-    /// the indexes).
+    forward: Postings,
+    reverse: Postings,
+    /// Number of stored pairs (kept in step with the indexes).
     pairs: usize,
 }
 
 impl AttrIndex {
-    /// Rebuilds an index from its forward map alone (the checkpoint image
-    /// stores only that half; the reverse index and pair count are
-    /// derived).
-    fn from_forward(forward: FxHashMap<ObjId, ObjSet>) -> AttrIndex {
-        let mut reverse: FxHashMap<ObjId, ObjSet> = FxHashMap::default();
-        let mut pairs = 0usize;
-        for (&from, values) in &forward {
-            pairs += values.len();
-            for to in values {
-                reverse.entry(to).or_default().insert(from);
-            }
-        }
-        AttrIndex {
-            forward,
-            reverse,
-            pairs,
-        }
-    }
-
     fn contains(&self, from: ObjId, to: ObjId) -> bool {
         self.forward
-            .get(&from)
+            .get(from)
             .is_some_and(|values| values.contains(&to))
     }
 
-    fn insert(&mut self, from: ObjId, to: ObjId) -> bool {
-        if self.forward.entry(from).or_default().insert(to) {
-            self.reverse.entry(to).or_default().insert(from);
-            self.pairs += 1;
-            true
-        } else {
-            false
+    /// Adds a pair to a possibly shared index; returns whether it was
+    /// absent. Probes first: a re-assertion copies nothing. An effective
+    /// one copies the two tables of chunk pointers and, through
+    /// [`Postings::entry`], the two chunks the pair lands in.
+    fn insert(index: &mut Arc<AttrIndex>, from: ObjId, to: ObjId) -> bool {
+        if index.contains(from, to) {
+            return false;
         }
+        let index = Arc::make_mut(index);
+        index.forward.entry(from).insert(to);
+        index.reverse.entry(to).insert(from);
+        index.pairs += 1;
+        true
     }
 
-    fn remove(&mut self, from: ObjId, to: ObjId) -> bool {
-        let Some(values) = self.forward.get_mut(&from) else {
+    /// Removes a pair from a possibly shared index; returns whether it
+    /// was present. Probes first: a miss copies nothing.
+    fn remove(index: &mut Arc<AttrIndex>, from: ObjId, to: ObjId) -> bool {
+        if !index.contains(from, to) {
             return false;
-        };
-        if !values.remove(&to) {
-            return false;
         }
-        if values.is_empty() {
-            self.forward.remove(&from);
-        }
-        if let Some(sources) = self.reverse.get_mut(&to) {
-            sources.remove(&from);
-            if sources.is_empty() {
-                self.reverse.remove(&to);
-            }
-        }
-        self.pairs -= 1;
+        let index = Arc::make_mut(index);
+        index.forward.remove(from, to);
+        index.reverse.remove(to, from);
+        index.pairs -= 1;
         true
     }
 }
@@ -281,10 +338,13 @@ impl NameIndex {
 /// each per-class extent and per-attribute index — sits behind its own
 /// [`Arc`] shard, so `Database::clone` is proportional to the number of
 /// *shards* (classes + attributes + name chunks), not to the number of
-/// objects or assertions, and a mutation after a clone copies only the
-/// shard it touches. This is what makes publishing a read
-/// [`Snapshot`](crate::snapshot::Snapshot) after a small transaction
-/// cheap.
+/// objects or assertions, and a mutation after a clone copies only what
+/// it touches: the extent of the class, the chunk of names, or — per
+/// attribute pair — one forward and one reverse chunk of [`ATTR_CHUNK`]
+/// ids plus the attribute's table of chunk pointers. This is what makes
+/// publishing a read [`Snapshot`](crate::snapshot::Snapshot) after a
+/// small transaction cheap, and keeps what a reader frees when it lets
+/// go of the replaced snapshot just as small.
 #[derive(Clone, Debug)]
 pub struct Database {
     model: Arc<DlModel>,
@@ -294,7 +354,8 @@ pub struct Database {
     /// copy-on-write compressed-bitmap shard per class.
     extents: FxHashMap<String, Arc<ObjSet>>,
     /// Attribute assertions in the primitive direction, indexed both
-    /// ways, one copy-on-write shard per attribute.
+    /// ways; each attribute's postings are copy-on-write per id-range
+    /// chunk.
     attrs: FxHashMap<String, Arc<AttrIndex>>,
     /// Bumped whenever the model is mutated through [`Database::model_mut`];
     /// lets wrappers (the optimizer) detect schema changes and drop any
@@ -360,14 +421,18 @@ impl Database {
         }
         let mut attr_map: FxHashMap<String, Arc<AttrIndex>> = FxHashMap::default();
         for (attribute, postings) in attrs {
-            let mut forward: FxHashMap<ObjId, ObjSet> = FxHashMap::default();
+            let mut index = AttrIndex::default();
             for (from, values) in postings {
                 if u64::from(from.0) >= count || !in_range(&values) {
                     return None;
                 }
-                forward.insert(from, values);
+                index.pairs += values.len();
+                for to in &values {
+                    index.reverse.entry(to).insert(from);
+                }
+                *index.forward.entry(from) = values;
             }
-            attr_map.insert(attribute, Arc::new(AttrIndex::from_forward(forward)));
+            attr_map.insert(attribute, Arc::new(index));
         }
         Some(Database {
             model: Arc::new(model),
@@ -556,8 +621,22 @@ impl Database {
     /// subclass would immediately re-imply the retracted one (upward
     /// propagation), retraction propagates *downwards*: the object also
     /// leaves every declared subclass it is in. Every extent actually
-    /// shrunk is logged as its own delta.
+    /// shrunk is logged as its own delta. Retracting a non-member is a
+    /// no-op that looks at nothing but the class's own extent, which
+    /// relies on `isA` edges being declared before members are asserted
+    /// beneath them (an edge added later through [`Database::model_mut`]
+    /// is not propagated to existing members).
     pub fn retract_class(&mut self, object: ObjId, class: &str) {
+        // Extents are upward-closed along `isA` (assertion propagates up,
+        // retraction down, replay is physical over a log that recorded
+        // both), so a non-member of `class` is in no subclass either.
+        if self.is_instance_of(object, class) {
+            self.retract_class_and_subclasses(object, class);
+        }
+    }
+
+    /// [`Database::retract_class`] without the non-member early-out.
+    fn retract_class_and_subclasses(&mut self, object: ObjId, class: &str) {
         // The retracted class plus its transitive subclasses, via a
         // subclass adjacency built in one pass over the declarations.
         let affected: Vec<String> = {
@@ -603,9 +682,7 @@ impl Database {
     /// primitive direction. Logged when the pair is new.
     pub fn assert_attr(&mut self, from: ObjId, attribute: &str, to: ObjId) {
         let (name, (from, to)) = self.resolve_pair(attribute, from, to);
-        let index = self.attrs.entry(name.clone()).or_default();
-        // Probe before `make_mut`: a re-assertion must not copy the shard.
-        if !index.contains(from, to) && Arc::make_mut(index).insert(from, to) {
+        if AttrIndex::insert(self.attrs.entry(name.clone()).or_default(), from, to) {
             self.record(Delta::AssertAttr {
                 from,
                 attribute: name,
@@ -618,11 +695,10 @@ impl Database {
     /// [`Database::assert_attr`]). Logged when the pair existed.
     pub fn retract_attr(&mut self, from: ObjId, attribute: &str, to: ObjId) {
         let (name, (from, to)) = self.resolve_pair(attribute, from, to);
-        let removed = match self.attrs.get_mut(&name) {
-            // Probe before `make_mut`: a miss must not copy the shard.
-            Some(index) if index.contains(from, to) => Arc::make_mut(index).remove(from, to),
-            _ => false,
-        };
+        let removed = self
+            .attrs
+            .get_mut(&name)
+            .is_some_and(|index| AttrIndex::remove(index, from, to));
         if removed {
             self.record(Delta::RetractAttr {
                 from,
@@ -676,21 +752,22 @@ impl Database {
                 attribute,
                 to,
             } => {
-                from.0 < count && to.0 < count && {
-                    let index = self.attrs.entry(attribute.clone()).or_default();
-                    !index.contains(*from, *to) && Arc::make_mut(index).insert(*from, *to)
-                }
+                from.0 < count
+                    && to.0 < count
+                    && AttrIndex::insert(
+                        self.attrs.entry(attribute.clone()).or_default(),
+                        *from,
+                        *to,
+                    )
             }
             Delta::RetractAttr {
                 from,
                 attribute,
                 to,
-            } => match self.attrs.get_mut(attribute) {
-                Some(index) if index.contains(*from, *to) => {
-                    Arc::make_mut(index).remove(*from, *to)
-                }
-                _ => false,
-            },
+            } => self
+                .attrs
+                .get_mut(attribute)
+                .is_some_and(|index| AttrIndex::remove(index, *from, *to)),
         };
         if applied {
             self.record(delta);
@@ -717,11 +794,7 @@ impl Database {
             .attrs
             .iter()
             .map(|(name, index)| {
-                let mut postings: Vec<(ObjId, &ObjSet)> = index
-                    .forward
-                    .iter()
-                    .map(|(&from, values)| (from, values))
-                    .collect();
+                let mut postings: Vec<(ObjId, &ObjSet)> = index.forward.iter().collect();
                 postings.sort_unstable_by_key(|&(from, _)| from);
                 (name.as_str(), postings)
             })
@@ -832,13 +905,13 @@ impl Database {
     /// The values of a *primitive* attribute for a source object, from the
     /// forward index (no clone; `None` when the object has no values).
     pub fn attr_out(&self, from: ObjId, attribute: &str) -> Option<&ObjSet> {
-        self.attrs.get(attribute)?.forward.get(&from)
+        self.attrs.get(attribute)?.forward.get(from)
     }
 
     /// The sources of a *primitive* attribute for a value object, from the
     /// reverse index (no clone; `None` when nothing points at the object).
     pub fn attr_in(&self, to: ObjId, attribute: &str) -> Option<&ObjSet> {
-        self.attrs.get(attribute)?.reverse.get(&to)
+        self.attrs.get(attribute)?.reverse.get(to)
     }
 
     /// O(1) cardinality statistics of a *primitive* attribute's index:
@@ -849,8 +922,8 @@ impl Database {
             .get(attribute)
             .map(|index| AttrCardinality {
                 pairs: index.pairs,
-                sources: index.forward.len(),
-                targets: index.reverse.len(),
+                sources: index.forward.keys,
+                targets: index.reverse.keys,
             })
             .unwrap_or_default()
     }
@@ -861,7 +934,7 @@ impl Database {
     pub fn attr_pairs(&self, attribute: &str) -> BTreeSet<(ObjId, ObjId)> {
         let mut out = BTreeSet::new();
         if let Some(index) = self.attrs.get(attribute) {
-            for (&from, values) in &index.forward {
+            for (from, values) in index.forward.iter() {
                 for to in values {
                     out.insert((from, to));
                 }
@@ -1358,6 +1431,297 @@ pub(crate) mod tests {
             Vec::new(),
         );
         assert!(bogus.is_none());
+    }
+
+    /// The ids on and next to chunk borders (`k·CHUNK − 1`, `k·CHUNK`,
+    /// `k·CHUNK + 1`) of a state made by [`spanning`]: the ones an
+    /// off-by-one in the chunk arithmetic files under the wrong chunk.
+    fn border_ids(chunks: usize) -> Vec<ObjId> {
+        (0..=chunks)
+            .flat_map(|k| [k * ATTR_CHUNK, k * ATTR_CHUNK + 1, (k + 1) * ATTR_CHUNK - 1])
+            .filter(|&id| id < chunks * ATTR_CHUNK + 2)
+            .map(|id| ObjId(id as u32))
+            .collect()
+    }
+
+    /// A state whose objects span `chunks` chunks plus the border ids
+    /// past the last one, every object a `Patient` or a `Drug`.
+    fn spanning(chunks: usize) -> Database {
+        let mut db = Database::new(samples::medical_model());
+        for i in 0..chunks * ATTR_CHUNK + 2 {
+            let object = db.add_object(&format!("o{i}"));
+            db.assert_class(object, if i % 3 == 0 { "Drug" } else { "Patient" });
+        }
+        db
+    }
+
+    #[test]
+    fn chunked_postings_agree_with_a_plain_map_under_random_updates() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        type Oracle = std::collections::HashMap<ObjId, BTreeSet<ObjId>>;
+        fn unlink(map: &mut Oracle, key: ObjId, value: ObjId) {
+            let values = map.get_mut(&key).expect("mirrors the other direction");
+            values.remove(&value);
+            if values.is_empty() {
+                map.remove(&key);
+            }
+        }
+        const ATTRS: [&str; 2] = ["consults", "takes"];
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut db = spanning(4);
+            let ids = border_ids(4);
+            let mut forward = [Oracle::new(), Oracle::new()];
+            let mut reverse = [Oracle::new(), Oracle::new()];
+            for step in 0..3_000 {
+                let which = rng.gen_range(0..ATTRS.len());
+                let attribute = ATTRS[which];
+                let from = ids[rng.gen_range(0..ids.len())];
+                let to = ids[rng.gen_range(0..ids.len())];
+                let (forward, reverse) = (&mut forward[which], &mut reverse[which]);
+                let present = forward.get(&from).is_some_and(|v| v.contains(&to));
+                // Fill and drain by turns, so keys (and whole chunks)
+                // come and go instead of settling half full.
+                let assert = rng.gen_bool(if (step / 750) % 2 == 0 { 0.6 } else { 0.1 });
+                let effective = assert != present;
+                let before = db.data_version();
+                if rng.gen_bool(0.3) {
+                    let attribute = attribute.to_owned();
+                    let delta = if assert {
+                        Delta::AssertAttr {
+                            from,
+                            attribute,
+                            to,
+                        }
+                    } else {
+                        Delta::RetractAttr {
+                            from,
+                            attribute,
+                            to,
+                        }
+                    };
+                    assert_eq!(db.apply_replayed(delta, None), effective, "step {step}");
+                } else if assert {
+                    db.assert_attr(from, attribute, to);
+                } else {
+                    db.retract_attr(from, attribute, to);
+                }
+                assert_eq!(
+                    db.data_version(),
+                    before + u64::from(effective),
+                    "step {step}"
+                );
+                if effective && assert {
+                    forward.entry(from).or_default().insert(to);
+                    reverse.entry(to).or_default().insert(from);
+                } else if effective {
+                    unlink(forward, from, to);
+                    unlink(reverse, to, from);
+                }
+                if step % 100 != 99 {
+                    continue;
+                }
+                // Removing a key's last value removes the key: lookups
+                // are `None` exactly where the oracle has no entry.
+                for &id in &ids {
+                    assert_eq!(
+                        db.attr_out(id, attribute).map(ObjSet::to_btree),
+                        forward.get(&id).cloned()
+                    );
+                    assert_eq!(
+                        db.attr_in(id, attribute).map(ObjSet::to_btree),
+                        reverse.get(&id).cloned()
+                    );
+                }
+                let pairs: BTreeSet<(ObjId, ObjId)> = forward
+                    .iter()
+                    .flat_map(|(&from, values)| values.iter().map(move |&to| (from, to)))
+                    .collect();
+                assert_eq!(
+                    db.attr_cardinality(attribute),
+                    AttrCardinality {
+                        pairs: pairs.len(),
+                        sources: forward.len(),
+                        targets: reverse.len(),
+                    }
+                );
+                assert_eq!(db.attr_pairs(attribute), pairs);
+            }
+        }
+    }
+
+    /// How many chunk slots of `now` are not the very allocation `then`
+    /// holds at the same place.
+    fn chunks_copied(now: &Postings, then: &Postings) -> usize {
+        let slot = |of: &Postings, at: usize| {
+            let chunk = of.chunks.get(at).and_then(Option::as_ref);
+            chunk.map(Arc::as_ptr)
+        };
+        (0..now.chunks.len().max(then.chunks.len()))
+            .filter(|&at| slot(now, at) != slot(then, at))
+            .count()
+    }
+
+    #[test]
+    fn a_mutation_after_a_snapshot_copies_one_chunk_in_each_direction() {
+        let mut db = spanning(4);
+        let ids = border_ids(4);
+        for (i, &from) in ids.iter().enumerate() {
+            db.assert_attr(from, "consults", ids[(i + 5) % ids.len()]);
+            db.assert_attr(from, "takes", ids[(i + 2) % ids.len()]);
+        }
+        let snapshot = db.snapshot_clone();
+
+        // A re-assertion and a missed retraction copy nothing at all.
+        db.assert_attr(ids[0], "consults", ids[5]);
+        db.retract_attr(ids[0], "consults", ids[6]);
+        for attr in ["consults", "takes"] {
+            assert!(Arc::ptr_eq(&db.attrs[attr], &snapshot.attrs[attr]));
+        }
+
+        // One new pair: the source's forward chunk and the target's
+        // reverse chunk are copied, every other chunk of the attribute
+        // and every other attribute stay shared with the snapshot.
+        let (from, to) = (
+            ObjId(ATTR_CHUNK as u32 + 7),
+            ObjId(3 * ATTR_CHUNK as u32 + 9),
+        );
+        db.assert_attr(from, "consults", to);
+        let (now, then) = (&db.attrs["consults"], &snapshot.attrs["consults"]);
+        assert_eq!(chunks_copied(&now.forward, &then.forward), 1);
+        assert_eq!(chunks_copied(&now.reverse, &then.reverse), 1);
+        assert!(Arc::ptr_eq(&db.attrs["takes"], &snapshot.attrs["takes"]));
+        assert!(db.has_attr_value(from, "consults", to));
+        assert!(!snapshot.has_attr_value(from, "consults", to));
+
+        // Taking it back again touches the same two chunks.
+        let snapshot = db.snapshot_clone();
+        db.retract_attr(from, "consults", to);
+        let (now, then) = (&db.attrs["consults"], &snapshot.attrs["consults"]);
+        assert_eq!(chunks_copied(&now.forward, &then.forward), 1);
+        assert_eq!(chunks_copied(&now.reverse, &then.reverse), 1);
+        assert!(snapshot.has_attr_value(from, "consults", to));
+    }
+
+    #[test]
+    fn checkpoint_images_keep_the_bytes_of_the_unchunked_layout() {
+        use crate::durable::checkpoint::{image_name, parse_image, write_checkpoint};
+        use crate::durable::{FaultyBackend, StorageBackend};
+        let image_of = |db: &Database| {
+            let backend = FaultyBackend::new();
+            let version =
+                write_checkpoint(&backend, db, &crate::views::ViewCatalog::new()).expect("written");
+            backend
+                .read(&image_name(version))
+                .expect("readable")
+                .expect("present")
+        };
+        let mut db = spanning(3);
+        let ids = border_ids(3);
+        for (i, &from) in ids.iter().enumerate() {
+            db.assert_attr(from, "consults", ids[(i + 5) % ids.len()]);
+            db.assert_attr(from, "takes", ids[(i * 3 + 1) % ids.len()]);
+            db.assert_attr(ObjId(i as u32 * 40), "takes", from);
+        }
+        db.retract_attr(ids[2], "consults", ids[7]);
+        let bytes = image_of(&db);
+        // Length and trailing CRC of the image the whole-attribute index
+        // (the commit before chunking) wrote for this very state: images
+        // written before the layout change and after it are the same
+        // bytes, so either side reads the other's.
+        let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+        assert_eq!((bytes.len(), crc), (10_752, 3_906_086_961));
+
+        let image = parse_image(&bytes).expect("own image parses");
+        let restored = Database::from_checkpoint(
+            image.model,
+            image.schema_version,
+            image.data_version,
+            image.names,
+            image.extents,
+            image.attrs,
+        )
+        .expect("consistent image");
+        assert_eq!(image_of(&restored), bytes);
+        for attr in ["consults", "takes"] {
+            assert_eq!(restored.attr_cardinality(attr), db.attr_cardinality(attr));
+            for &id in &ids {
+                assert_eq!(restored.attr_in(id, attr), db.attr_in(id, attr));
+            }
+        }
+    }
+
+    #[test]
+    fn extents_stay_upward_closed_and_the_retraction_early_out_changes_nothing() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // A diamond with a tail, so propagation has more than one level
+        // and more than one route in both directions.
+        let model = subq_dl::parse_model(
+            "Class A with end A  Class B isA A with end B  Class C isA A with end C \
+             Class D isA B, C with end D  Class E isA D with end E  Class F with end F",
+        )
+        .expect("parses");
+        let classes = ["A", "B", "C", "D", "E", "F"];
+        let assert_closed = |db: &Database, when: &str| {
+            for decl in &db.model().classes {
+                for sup in &decl.is_a {
+                    assert!(
+                        db.class_extent(&decl.name).is_subset(&db.class_extent(sup)),
+                        "{when}: extent({}) ⊄ extent({sup})",
+                        decl.name
+                    );
+                }
+            }
+        };
+        let log_of = |db: &Database| -> Vec<(u64, Delta)> {
+            let log = db.delta_log().since(0).expect("never truncated");
+            log.map(|(version, delta)| (version, delta.clone()))
+                .collect()
+        };
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fast = Database::new(model.clone());
+            let mut slow = Database::new(model.clone());
+            let objects: Vec<ObjId> = (0..6)
+                .map(|i| {
+                    slow.add_object(&format!("o{i}"));
+                    fast.add_object(&format!("o{i}"))
+                })
+                .collect();
+            let mut early_outs = 0;
+            for step in 0..400 {
+                let object = objects[rng.gen_range(0..objects.len())];
+                let class = classes[rng.gen_range(0..classes.len())];
+                if rng.gen_bool(0.5) {
+                    fast.assert_class(object, class);
+                    slow.assert_class(object, class);
+                } else {
+                    early_outs += usize::from(!fast.is_instance_of(object, class));
+                    fast.retract_class(object, class);
+                    slow.retract_class_and_subclasses(object, class);
+                }
+                assert_closed(&fast, &format!("seed {seed} step {step}"));
+                assert_eq!(fast.data_version(), slow.data_version());
+            }
+            assert!(early_outs > 50, "the early-out must be exercised");
+            assert_eq!(log_of(&fast), log_of(&slow));
+            for class in classes {
+                assert_eq!(fast.class_extent(class), slow.class_extent(class));
+            }
+            // Physical replay of the log lands in the same closed state.
+            let mut replayed = Database::new(model.clone());
+            for (_, delta) in log_of(&fast) {
+                let name = match &delta {
+                    Delta::AddObject { object } => Some(fast.object_name(*object).to_owned()),
+                    _ => None,
+                };
+                assert!(replayed.apply_replayed(delta, name.as_deref()));
+            }
+            assert_closed(&replayed, &format!("seed {seed} replayed"));
+            for class in classes {
+                assert_eq!(replayed.class_extent(class), fast.class_extent(class));
+            }
+        }
     }
 
     #[test]
