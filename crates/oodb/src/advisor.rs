@@ -3,14 +3,17 @@
 //!
 //! The paper's optimization only pays off when the views a workload needs
 //! are actually materialized — and PRs 1–9 left that choice to a human.
-//! This module closes the loop: every [`Reader`](crate::Reader) records
-//! the *shape* of each executed query into a lock-free per-reader ring
-//! ([`ShapeRing`]); the writer harvests the rings at the publish boundary,
-//! mines frequent shapes with exponential decay, scores each candidate by
-//! expected gain under the [`CostModel`](crate::stats::CostModel), and —
-//! in [`AdvisorMode::Auto`] — materializes the winners through the
-//! ordinary [`ViewCatalog`](crate::views::ViewCatalog) path and evicts
-//! auto-views the workload has gone cold on. User-declared views are
+//! This module closes the loop: the executor ([`crate::planner`]) records
+//! the *shape* of each executed query into the bounded ring
+//! ([`ShapeRing`]) of whoever ran it — every [`Reader`](crate::Reader)
+//! and the writer own one. At the publish boundary the writer
+//! ([`OptimizedDatabase::run_advisor`], the driver at the bottom of this
+//! file) harvests the rings, mines frequent shapes with exponential
+//! decay, scores each candidate by expected gain under the
+//! [`CostModel`](crate::stats::CostModel), and — in
+//! [`AdvisorMode::Auto`] — materializes the winners through the ordinary
+//! [`ViewCatalog`](crate::views::ViewCatalog) path and evicts auto-views
+//! the workload has gone cold on. User-declared views are
 //! never touched, and the advisor acts only between transactions, so
 //! snapshot isolation and read-your-writes are untouched.
 //!
@@ -24,12 +27,14 @@
 //! and clauses are sorted, so the normalized declaration is a canonical
 //! form fit for hashing ([`shape_key`]).
 
+use crate::durable::DurableError;
+use crate::optimizer::OptimizedDatabase;
 use crate::stats::CostModel;
 use fxhash::{FxHashMap, FxHasher};
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use subq_dl::{LabeledPath, PathFilter, QueryClassDecl};
 
 /// The reserved name prefix of advisor-declared views. User `DEFVIEW`s
@@ -134,33 +139,23 @@ pub struct ShapeEvent {
     pub answers: u64,
 }
 
-/// A lock-free bounded single-producer/single-consumer ring of
-/// [`ShapeEvent`]s: the producer is the one [`Reader`](crate::Reader)
-/// owning the ring, the consumer is the writer harvesting at the publish
-/// boundary. A full ring drops the newest event and counts it — the read
-/// path never blocks.
+/// A bounded queue of [`ShapeEvent`]s: the producer is the one
+/// [`Reader`](crate::Reader) (or the writer) owning the ring, the consumer
+/// is the writer harvesting at the publish boundary. A full ring drops the
+/// newest event and counts it, so recording never blocks on the harvester
+/// for longer than one push or drain and never grows past the capacity.
+/// The lock is uncontended except while a harvest drains this very ring.
 pub struct ShapeRing {
-    slots: Box<[UnsafeCell<Option<ShapeEvent>>]>,
-    /// Next slot the consumer pops (only the consumer advances it).
-    head: AtomicUsize,
-    /// Next slot the producer fills (only the producer advances it).
-    tail: AtomicUsize,
+    events: Mutex<VecDeque<ShapeEvent>>,
+    capacity: usize,
     dropped: AtomicU64,
 }
-
-// Safety: head/tail form an SPSC handshake — the producer writes a slot
-// strictly before publishing it with a Release store of `tail`, and the
-// consumer reads slots strictly after an Acquire load of `tail` (and
-// vice versa for `head`), so no slot is ever accessed concurrently.
-unsafe impl Sync for ShapeRing {}
-unsafe impl Send for ShapeRing {}
 
 impl ShapeRing {
     pub(crate) fn new(capacity: usize) -> Arc<Self> {
         Arc::new(ShapeRing {
-            slots: (0..capacity).map(|_| UnsafeCell::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            events: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             dropped: AtomicU64::new(0),
         })
     }
@@ -168,29 +163,18 @@ impl ShapeRing {
     /// Producer side: appends one event, dropping it (counted) when the
     /// consumer has fallen a full ring behind.
     pub(crate) fn push(&self, event: ShapeEvent) {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
+        let mut events = self.events.lock().expect("shape ring poisoned");
+        if events.len() >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        } else {
+            events.push_back(event);
         }
-        // Safety: slot `tail` is outside the consumer's published window.
-        unsafe { *self.slots[tail % self.slots.len()].get() = Some(event) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
     }
 
-    /// Consumer side: moves every published event into `into`.
+    /// Consumer side: moves every recorded event into `into`, oldest
+    /// first.
     pub(crate) fn harvest(&self, into: &mut Vec<ShapeEvent>) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        for index in head..tail {
-            // Safety: slots in `head..tail` are published by the producer
-            // and not yet released back to it.
-            if let Some(event) = unsafe { (*self.slots[index % self.slots.len()].get()).take() } {
-                into.push(event);
-            }
-        }
-        self.head.store(tail, Ordering::Release);
+        into.extend(self.events.lock().expect("shape ring poisoned").drain(..));
     }
 
     /// Events dropped because the ring was full.
@@ -324,6 +308,9 @@ pub struct Advisor {
     /// Auto-view name → consecutive passes without a routed query.
     cold_passes: FxHashMap<String, u32>,
     next_id: usize,
+    /// Data version at the last pass — the delta count since scales the
+    /// estimated maintenance cost of a candidate view.
+    last_version: u64,
     /// Cumulative counters, mirrored into telemetry.
     pub materialized_total: u64,
     pub evicted_total: u64,
@@ -338,7 +325,8 @@ pub struct AdvisorPass {
     pub materialized: Vec<String>,
     /// Auto-views evicted this pass.
     pub evicted: Vec<String>,
-    /// Events consumed from the rings and the writer's local log.
+    /// Events consumed from the shape rings (every reader's and the
+    /// writer's own).
     pub harvested: usize,
 }
 
@@ -577,6 +565,154 @@ impl Advisor {
     }
 }
 
+/// The advisor's driver: the part of the pass that needs the catalog, the
+/// model and the publication path, which the database owns.
+impl OptimizedDatabase {
+    /// Configures the workload-adaptive view advisor. Any mode other than
+    /// [`AdvisorMode::Off`] turns on shape recording in the writer and in
+    /// every reader; `Off` turns it back off (an execution then pays one
+    /// relaxed atomic load and nothing else).
+    pub fn set_advisor_config(&mut self, config: AdvisorConfig) {
+        self.cell.set_recording(config.mode != AdvisorMode::Off);
+        self.advisor.set_config(config);
+    }
+
+    /// The advisor's mined-shape state and lifecycle counters.
+    pub fn advisor(&self) -> &Advisor {
+        &self.advisor
+    }
+
+    /// The `ADVISE` report: one line per mined candidate (hottest first)
+    /// plus a summary line.
+    pub fn advisor_report(&self) -> Vec<String> {
+        self.advisor.report_lines()
+    }
+
+    /// One advisor pass at the publish boundary: harvests every shape
+    /// ring (the readers' and the writer's own), folds the events into
+    /// the decayed frequency table, and — in [`AdvisorMode::Auto`] —
+    /// evicts cold auto-views and materializes the gain-scored winners
+    /// through the ordinary catalog path. A winner the lattice already
+    /// serves about as cheaply through an existing view is rejected
+    /// instead of materialized. The advisor only ever evicts names it
+    /// minted itself (`__adv_*`); user-declared views are never touched.
+    ///
+    /// Runs strictly between transactions: on a durable database a pass
+    /// that declared a new query class checkpoints (schema changes are
+    /// not expressible as WAL deltas), any other catalog change
+    /// republishes, and a pass that changed nothing publishes nothing.
+    pub fn run_advisor(&mut self) -> Result<AdvisorPass, DurableError> {
+        if self.advisor.config().mode == AdvisorMode::Off {
+            return Ok(AdvisorPass::default());
+        }
+        let mut events = Vec::new();
+        self.cell.harvest_shapes(&mut events);
+        // The executor counted each of these once, process-wide, when it
+        // ran; here they become the per-view tallies.
+        for event in &events {
+            if let Some(view) = event.used_view.as_deref() {
+                self.stats.record_view_hit(view);
+            }
+        }
+        self.advisor.absorb(&events);
+        self.stats.refresh(&self.db);
+        // Surface the per-view tallies in the exposition (`STATS` over
+        // the wire). Gauges are set, not bumped, so passes are idempotent.
+        for (view, hits) in self.stats.view_hit_counts() {
+            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(hits as i64);
+        }
+        let version = self.db.data_version();
+        let deltas = version.saturating_sub(self.advisor.last_version);
+        self.advisor.last_version = version;
+        // Estimated membership checks one delta costs an average view,
+        // from the maintainer's cumulative candidate-ball sizes.
+        let maint = self.catalog.maintenance_stats();
+        let maintenance_per_delta =
+            maint.candidates_examined as f64 / maint.deltas_applied.max(1) as f64;
+        let served = self.catalog.view_names();
+        let cost = CostModel::new(&self.stats, &self.db);
+        let plan = self
+            .advisor
+            .plan_pass(&cost, maintenance_per_delta, deltas, &served);
+        let mut pass = AdvisorPass {
+            harvested: events.len(),
+            ..AdvisorPass::default()
+        };
+        if self.advisor.config().mode != AdvisorMode::Auto {
+            return Ok(pass);
+        }
+        // Evictions first — they free budget for this pass's winners.
+        // Defense in depth: only advisor-minted names are ever evicted.
+        for name in &plan.evict {
+            if Advisor::is_auto_view(name) && self.catalog.evict(name) {
+                self.advisor.note_evicted(name);
+                pass.evicted.push(name.clone());
+            }
+        }
+        let mut schema_changed = false;
+        for (key, existing, definition, expected_extent) in plan.winners {
+            // Subsumption rejection: when the lattice already routes this
+            // shape through a view whose estimated filter cost is within
+            // 2x of a dedicated extension's, a new view buys almost
+            // nothing — leave the existing one to serve it.
+            let current = self.plan(&definition);
+            let incumbent = current
+                .chosen_view
+                .as_deref()
+                .and_then(|name| self.catalog.view(name));
+            if let Some(view) = incumbent {
+                let cost = CostModel::new(&self.stats, &self.db);
+                let via_existing = cost.filter_cost(
+                    cost.estimated_candidates(view.extent.len(), &definition),
+                    &definition,
+                );
+                let dedicated = cost.filter_cost(expected_extent as usize, &definition);
+                if via_existing <= dedicated * 2.0 + 1.0 {
+                    self.advisor.note_rejected_subsumed(key);
+                    continue;
+                }
+            }
+            let name = definition.name.clone();
+            let fresh = existing.is_none();
+            if fresh {
+                // The declaration enters the model through the ordinary
+                // schema path (`update` panics on an untranslatable
+                // model, so pre-validate and skip losers). The served
+                // model may carry pre-existing validation warnings, so
+                // only problems the new declaration *adds* disqualify
+                // it. Evicted auto-views keep their declaration —
+                // checkpoint images refer to views by name — so a
+                // re-materialization is catalog-only.
+                let baseline = subq_dl::validate_model(self.db.model()).len();
+                let mut probe = self.db.model().clone();
+                probe.queries.push(definition.clone());
+                if subq_dl::validate_model(&probe).len() > baseline
+                    || subq_translate::translate_model(&probe).is_err()
+                {
+                    continue;
+                }
+                self.update(|db| db.model_mut().queries.push(definition.clone()));
+                schema_changed = true;
+            }
+            match self.materialize_view(&name) {
+                Ok(()) => {
+                    self.advisor.note_materialized(key, &name, fresh);
+                    pass.materialized.push(name);
+                }
+                Err(_) => continue,
+            }
+        }
+        if !pass.materialized.is_empty() || !pass.evicted.is_empty() {
+            if self.durable.is_some() && schema_changed {
+                self.checkpoint()?;
+            } else {
+                self.publish_snapshot();
+            }
+        }
+        Ok(pass)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,6 +814,58 @@ mod tests {
         ring.harvest(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].candidates_examined, 9);
+    }
+
+    /// Two producers push while the consumer harvests: nothing is lost
+    /// or duplicated (harvested + dropped == pushed) and each producer's
+    /// events come out in the order it pushed them.
+    #[test]
+    fn concurrent_pushes_and_harvests_lose_nothing_and_keep_order() {
+        const PER_PRODUCER: u64 = 20_000;
+        let ring = ShapeRing::new(8);
+        let shape = Arc::new(normalize_shape(&shape_with(PathFilter::Any, "x")));
+        let start = std::sync::Barrier::new(3);
+        let mut harvested = Vec::new();
+        std::thread::scope(|scope| {
+            let producers: Vec<_> = (0..2u64)
+                .map(|producer| {
+                    let (ring, shape, start) = (&ring, &shape, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for sequence in 0..PER_PRODUCER {
+                            ring.push(ShapeEvent {
+                                shape: shape.clone(),
+                                used_view: None,
+                                candidates_examined: producer,
+                                answers: sequence,
+                            });
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            while !producers.iter().all(|handle| handle.is_finished()) {
+                ring.harvest(&mut harvested);
+            }
+        });
+        ring.harvest(&mut harvested);
+        assert_eq!(
+            harvested.len() as u64 + ring.dropped(),
+            2 * PER_PRODUCER,
+            "every push is either harvested or counted as dropped"
+        );
+        assert!(!harvested.is_empty());
+        for producer in 0..2 {
+            let sequences: Vec<u64> = harvested
+                .iter()
+                .filter(|event| event.candidates_examined == producer)
+                .map(|event| event.answers)
+                .collect();
+            assert!(
+                sequences.windows(2).all(|pair| pair[0] < pair[1]),
+                "producer {producer} came out reordered or duplicated"
+            );
+        }
     }
 
     #[test]

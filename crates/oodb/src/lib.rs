@@ -16,13 +16,18 @@
 //!   ([`maintain`]), and
 //! * an optimizer uses the polynomial subsumption checker to answer a
 //!   query by filtering the extension of a subsuming materialized view
-//!   instead of scanning the database ([`optimizer`]), and
+//!   instead of scanning the database — one planner and executor
+//!   ([`planner`]) that the writer ([`optimizer`]) runs over its live
+//!   state and every lock-free reader ([`snapshot`]) over the published
+//!   snapshot it pins, and
 //! * the whole state can be made durable — write-ahead logged, checkpointed,
 //!   and crash-recovered through a fault-injectable I/O layer ([`durable`]).
 //!
 //! The paper defers the empirical validation of the optimization to
 //! "practical experiments"; experiments E8–E10 of this reproduction run
 //! them on synthetic states generated by `subq-workload`.
+
+#![forbid(unsafe_code)]
 
 pub mod advisor;
 pub mod durable;
@@ -31,6 +36,7 @@ pub mod maintain;
 pub mod metrics;
 pub mod objset;
 pub mod optimizer;
+pub mod planner;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -46,8 +52,9 @@ pub use durable::{
 pub use eval::{evaluate_query, evaluate_query_over};
 pub use maintain::{Delta, DeltaLog, MaintenanceStats};
 pub use objset::ObjSet;
-pub use optimizer::{ExecutionStats, OptimizedDatabase, QueryPlan};
-pub use snapshot::{ExplainReport, FrontierEstimate, Reader, Snapshot, SnapshotCell};
+pub use optimizer::OptimizedDatabase;
+pub use planner::{ExecutionStats, ExplainReport, FrontierEstimate, QueryPlan};
+pub use snapshot::{Reader, Snapshot, SnapshotCell};
 pub use stats::{CostModel, Statistics};
 pub use store::{AttrCardinality, ConformanceViolation, Database, ObjId};
 pub use views::{MaterializedView, ViewCatalog};

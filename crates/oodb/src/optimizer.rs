@@ -1,38 +1,35 @@
-//! The subsumption-driven query optimizer.
+//! The writer: engine lifecycle, transactions, publication and durability
+//! around the one query path.
 //!
-//! This is the component sketched in Sections 1 and 3.2 of the paper:
-//! "instead of just employing conventional compilation techniques …, a
-//! subsumption checker tests whether an incoming query is subsumed by one
-//! of the views currently materialized in the database. The system modifies
-//! the query evaluation plans by adding access operations to the stored
-//! extensions of subsuming views, thus restricting the search space."
+//! [`OptimizedDatabase`] owns the live state — the store, its structural
+//! translation, the view catalog with its subsumption lattice, the
+//! subsumption cache, cardinality statistics — and is the single place
+//! that mutates it: [`OptimizedDatabase::update`] /
+//! [`OptimizedDatabase::commit`] / [`OptimizedDatabase::commit_durable`]
+//! apply a transaction, [`OptimizedDatabase::publish_snapshot`] hands the
+//! result to the lock-free [`Reader`]s, [`OptimizedDatabase::open`] and
+//! [`OptimizedDatabase::checkpoint`] tie it to the write-ahead log (see
+//! [`crate::durable`]).
 //!
-//! Concretely, [`OptimizedDatabase::execute`] translates the incoming query
-//! class into its QL concept, finds the materialized views that subsume it
-//! (in polynomial time per probe), picks a subsuming view with the
-//! smallest stored extension, and evaluates the query's full membership
-//! condition only over that extension. Soundness rests on
-//! Proposition 3.1: Σ-subsumption of the structural abstractions implies
-//! containment of the answer sets in every database state.
-//!
-//! Since PR 3 the subsuming views are found by traversing the catalog's
-//! subsumption lattice ([`OptimizedDatabase::plan`]): a failed probe of a
-//! view prunes every strictly more specific view below it, so large
-//! hierarchical catalogs cost far fewer than N probes per plan. The flat
-//! linear scan is retained as [`OptimizedDatabase::plan_flat`] — the
-//! reference whose answers the traversal must reproduce (on the
-//! maximal-specific frontier) and the baseline of experiment E9.
+//! Queries are **not** implemented here. [`OptimizedDatabase::plan`],
+//! [`OptimizedDatabase::execute`] and friends lend the live state to a
+//! [`crate::planner`] context — the same planner and executor a
+//! [`Reader`] runs over its pinned snapshot — after the two steps only
+//! the writer can take: classifying views that are pending in the
+//! lattice and refreshing stale extensions. The writer never answers
+//! from its own published snapshot: an [`OptimizedDatabase::update`] that
+//! has not been published is visible to the writer's own queries and to
+//! nobody else. The advisor's driver (`run_advisor`) lives beside the
+//! advisor in [`crate::advisor`].
 
-use crate::advisor::{
-    normalize_shape, Advisor, AdvisorConfig, AdvisorMode, AdvisorPass, ShapeEvent,
-};
+use crate::advisor::{Advisor, ShapeRing, SHAPE_RING_CAPACITY};
 use crate::durable::{
     recover, DurabilityStats, DurableEngine, DurableError, DurableOptions, StorageBackend,
 };
-use crate::eval::{evaluate_query_over, initial_candidates};
 use crate::maintain::Delta;
+use crate::planner::{self, ExecutionStats, PlanContext, QueryPlan};
 use crate::snapshot::{FrozenTranslation, Reader, Snapshot, SnapshotCell};
-use crate::stats::{CostModel, Statistics};
+use crate::stats::Statistics;
 use crate::store::{Database, ObjId};
 use crate::views::{ClassifyOracle, ViewCatalog, ViewError};
 use std::collections::BTreeSet;
@@ -42,54 +39,12 @@ use subq_concepts::term::{ConceptId, TermArena};
 use subq_dl::QueryClassDecl;
 use subq_translate::{translate_query, TranslateError, TranslatedModel};
 
-/// The plan chosen for a query.
-#[derive(Clone, Debug, Default)]
-pub struct QueryPlan {
-    /// The subsuming views the planner reports. For [`OptimizedDatabase::plan`]
-    /// this is the **maximal-specific frontier** — subsuming views with no
-    /// strictly more specific subsuming view below them (plus Σ-equivalent
-    /// peers); for [`OptimizedDatabase::plan_flat`] it is every subsuming
-    /// view. Both are sorted by extent size, smallest first.
-    pub subsuming_views: Vec<String>,
-    /// The view whose extension will be filtered (the smallest subsuming
-    /// one), if any.
-    pub chosen_view: Option<String>,
-    /// How many view probes were answered from the subsumption cache.
-    pub cached_probes: usize,
-    /// How many view probes ran a goal-side probe (fresh `(query, view)`
-    /// pairs).
-    pub fresh_probes: usize,
-    /// How many fact saturations this plan paid for. At most 1: all fresh
-    /// probes of one plan fork the same saturated query, and 0 when the
-    /// query was saturated by an earlier plan (or every pair hit the
-    /// cache).
-    pub fact_saturations: usize,
-    /// How many views the lattice traversal did *not* probe: descendants
-    /// of failed probes and equivalence peers. Always 0 for the flat scan.
-    pub probes_pruned: usize,
-    /// Depth of the deepest lattice node probed (roots = 1); 0 for the
-    /// flat scan and for empty catalogs.
-    pub lattice_depth: usize,
-}
-
-/// Statistics of one query execution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ExecutionStats {
-    /// Number of candidate objects whose membership condition was
-    /// evaluated.
-    pub candidates_examined: usize,
-    /// The materialized view whose extension was used, if any.
-    pub used_view: Option<String>,
-    /// Number of answers.
-    pub answers: usize,
-}
-
 /// A database bundled with its structural translation, a view catalog, and
 /// the subsumption checker glue.
 pub struct OptimizedDatabase {
-    db: Database,
+    pub(crate) db: Database,
     translated: TranslatedModel,
-    catalog: ViewCatalog,
+    pub(crate) catalog: ViewCatalog,
     /// Memoized `(query, view) → verdict` table plus the saturated fact
     /// closures behind it. Subsumption depends only on the translated
     /// schema and the concepts, never on the database *state*, so the
@@ -103,7 +58,7 @@ pub struct OptimizedDatabase {
     /// wholesale on schema mutation.
     memo: Arc<SharedSubsumptionMemo>,
     /// The publication point readers attach to.
-    cell: Arc<SnapshotCell>,
+    pub(crate) cell: Arc<SnapshotCell>,
     /// The frozen translation of the last publication, with the arena
     /// fingerprint it was taken at — rebuilt only when the writer has
     /// interned new concepts since (data-only churn publishes without
@@ -111,22 +66,20 @@ pub struct OptimizedDatabase {
     frozen: Option<(Arc<FrozenTranslation>, (u64, usize, usize))>,
     /// Cardinality statistics behind the execution cost model, kept fresh
     /// incrementally from the delta log (see [`crate::stats`]).
-    stats: Statistics,
+    pub(crate) stats: Statistics,
     /// The durable engine, when this database was opened through
     /// [`OptimizedDatabase::open`]: [`OptimizedDatabase::commit_durable`]
     /// write-ahead logs every transaction before publishing, and
     /// [`OptimizedDatabase::checkpoint`] compacts the log into an image.
-    durable: Option<DurableEngine>,
+    pub(crate) durable: Option<DurableEngine>,
     /// The workload-adaptive view advisor (see [`crate::advisor`]):
     /// mined shapes, budget, and lifecycle counters. Acts only inside
     /// [`OptimizedDatabase::run_advisor`].
-    advisor: Advisor,
-    /// Shapes recorded by the *writer's* own executions (readers record
-    /// into their lock-free rings); drained by the advisor pass.
-    shape_log: Vec<ShapeEvent>,
-    /// Data version at the last advisor pass — its delta count scales
-    /// the estimated maintenance cost of a candidate view.
-    advisor_last_version: u64,
+    pub(crate) advisor: Advisor,
+    /// Shapes recorded by the writer's own executions — a ring like
+    /// every reader's, registered with the cell and harvested with
+    /// theirs.
+    shapes: Arc<ShapeRing>,
 }
 
 impl OptimizedDatabase {
@@ -142,11 +95,13 @@ impl OptimizedDatabase {
             translated.arena.path_count(),
         );
         let cell = Arc::new(SnapshotCell::new(Arc::new(Snapshot {
-            db: db.clone(),
+            db: db.snapshot_clone(),
             views: Vec::new(),
             translated: frozen_translation.clone(),
             memo: memo.clone(),
         })));
+        let shapes = ShapeRing::new(SHAPE_RING_CAPACITY);
+        cell.register_ring(&shapes);
         Ok(OptimizedDatabase {
             db,
             translated,
@@ -158,8 +113,7 @@ impl OptimizedDatabase {
             stats: Statistics::new(),
             durable: None,
             advisor: Advisor::default(),
-            shape_log: Vec::new(),
-            advisor_last_version: 0,
+            shapes,
         })
     }
 
@@ -562,8 +516,10 @@ impl OptimizedDatabase {
     }
 
     /// Inserts every not-yet-classified view into the subsumption lattice.
-    /// Called after materialization and (via [`OptimizedDatabase::plan`])
-    /// after a schema change has reset the lattice.
+    /// Called after materialization, before publication, and before every
+    /// plan — so that a schema change, which resets the lattice, is
+    /// repaired first and classification probes are never attributed to a
+    /// plan's counters.
     fn classify_catalog(&mut self) {
         let mut oracle = DatabaseOracle {
             db: &self.db,
@@ -576,124 +532,46 @@ impl OptimizedDatabase {
         self.catalog.classify_pending(&mut oracle);
     }
 
+    /// Runs `query_path` over the writer's live state: the catalog under
+    /// its read guard, the writer's own translation and cache. The
+    /// writer's arena is the canonical one, so every concept id is
+    /// shareable through the memo (no bound) and a shape planned here is
+    /// pre-warmed for every reader of the current epoch.
+    fn with_context<R>(&mut self, query_path: impl FnOnce(&mut PlanContext<'_>) -> R) -> R {
+        let views = self.catalog.read();
+        query_path(&mut PlanContext {
+            db: &self.db,
+            views: &views,
+            schema: &self.translated.schema,
+            vocabulary: &mut self.translated.vocabulary,
+            arena: &mut self.translated.arena,
+            cache: &mut self.subsumption_cache,
+            memo: &self.memo,
+            shared_bound: usize::MAX,
+            stats: &self.stats,
+            plan_ns: &crate::metrics::metrics().plan_ns,
+            shapes: self.cell.recording().then_some(&*self.shapes),
+        })
+    }
+
     /// Computes the evaluation plan for a query by traversing the view
-    /// lattice from its roots: a view is probed only while every one of
-    /// its Hasse parents subsumes the query — since `V₂ ⊑ V₁` and
-    /// `Q ⋢ V₁` imply `Q ⋢ V₂`, a failed probe prunes the whole sub-DAG
-    /// below it. The reported views are the **maximal-specific subsuming
-    /// frontier**; their extensions are contained in every other subsuming
-    /// view's extension, so picking the smallest of them is never worse
-    /// than the flat scan's globally smallest pick, and the filtered
-    /// answer set is identical (`tests/lattice_equivalence.rs` proves both
-    /// properties against [`OptimizedDatabase::plan_flat`]).
+    /// lattice from its roots; the reported views are the
+    /// maximal-specific subsuming frontier (see [`crate::planner`]).
     pub fn plan(&mut self, query: &QueryClassDecl) -> QueryPlan {
-        let _span = crate::metrics::metrics().plan_ns.span();
-        let query_concept = match translate_query(
-            query,
-            self.db.model(),
-            &mut self.translated.vocabulary,
-            &mut self.translated.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return QueryPlan::default(),
-        };
-        // Classify pending views first (newly materialized through the raw
-        // catalog, or the whole catalog after a schema change) so that
-        // classification probes are not attributed to this plan's
-        // counters.
         self.classify_catalog();
-        let checker = SubsumptionChecker::new(&self.translated.schema);
-        let arena = &mut self.translated.arena;
-        let cache = &mut self.subsumption_cache;
-        let memo = &self.memo;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        // Probe through the shared memo too (the writer's arena is the
-        // canonical one, so every id is shareable): query shapes planned
-        // here are pre-warmed for every reader of the current epoch.
-        let traversal = self.catalog.traverse(|view_concept| {
-            checker.subsumes_shared(arena, query_concept, view_concept, cache, memo, usize::MAX)
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
-        }
+        self.with_context(|context| context.plan(query, None))
+            .unwrap_or_default()
     }
 
     /// The flat reference planner: probes the query against **every**
-    /// materialized view (one batch through the memo table — the query is
-    /// normalized and fact-saturated once for all N views) and reports all
-    /// subsuming views, smallest extension first. Kept as the baseline the
-    /// lattice traversal is verified against and measured relative to
-    /// (experiment E9).
-    ///
-    /// Counter parity with [`OptimizedDatabase::plan`]: every `QueryPlan`
-    /// field is populated with the flat scan's honest value —
-    /// `probes_pruned` is 0 (the flat scan probes everything) and
-    /// `lattice_depth` is the full classified depth (the depth a
-    /// traversal probing everything reaches) — so bench tables and tests
-    /// can diff the two planners field by field.
+    /// materialized view and reports all subsuming views, smallest
+    /// extension first. Kept as the baseline the lattice traversal is
+    /// verified against and measured relative to (experiment E9); every
+    /// `QueryPlan` field carries the flat scan's honest value, so the two
+    /// planners diff field by field.
     pub fn plan_flat(&mut self, query: &QueryClassDecl) -> QueryPlan {
-        let query_concept = match translate_query(
-            query,
-            self.db.model(),
-            &mut self.translated.vocabulary,
-            &mut self.translated.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return QueryPlan::default(),
-        };
-        let candidates = self.translated_plan_entries();
-        let checker = SubsumptionChecker::new(&self.translated.schema);
-        let view_concepts: Vec<_> = candidates.iter().map(|(_, _, c)| *c).collect();
-        let (hits_before, misses_before) = self.subsumption_cache.stats();
-        let (saturations_before, _) = self.subsumption_cache.saturation_stats();
-        let outcomes = checker.check_many(
-            &mut self.translated.arena,
-            query_concept,
-            &view_concepts,
-            &mut self.subsumption_cache,
-        );
-        let (hits_after, misses_after) = self.subsumption_cache.stats();
-        let (saturations_after, _) = self.subsumption_cache.saturation_stats();
-        let mut subsuming: Vec<(String, usize)> = candidates
-            .into_iter()
-            .zip(outcomes)
-            .filter(|(_, outcome)| outcome.subsumed())
-            .map(|((name, extent, _), _)| (name, extent))
-            .collect();
-        subsuming.sort_by_key(|(_, size)| *size);
-        QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: 0,
-            lattice_depth: self.catalog.lattice_depth(),
-        }
-    }
-
-    /// One pass over the catalog filling in missing view concepts through
-    /// `view_concept`: the shared lookup of every planner-side consumer
-    /// (the flat scan, [`OptimizedDatabase::view_subsumes`]).
-    fn translated_plan_entries(&mut self) -> Vec<(String, usize, ConceptId)> {
-        let db = &self.db;
-        let queries = &self.translated.queries;
-        let vocabulary = &mut self.translated.vocabulary;
-        let arena = &mut self.translated.arena;
-        self.catalog.plan_entries_with(|definition| {
-            view_concept(definition, db, queries, vocabulary, arena)
-        })
+        self.classify_catalog();
+        self.with_context(|context| context.plan_flat(query))
     }
 
     /// Whether the concept of view `sub` is Σ-subsumed by the concept of
@@ -702,13 +580,8 @@ impl OptimizedDatabase {
     /// tests can verify the classified edges against direct pairwise
     /// checks.
     pub fn view_subsumes(&mut self, sub: &str, sup: &str) -> Option<bool> {
-        let entries = self.translated_plan_entries();
-        let concept_of = |name: &str| {
-            entries
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, _, c)| *c)
-        };
+        self.classify_catalog();
+        let concept_of = |name: &str| self.catalog.view(name)?.concept;
         let (a, b) = (concept_of(sub)?, concept_of(sup)?);
         let checker = SubsumptionChecker::new(&self.translated.schema);
         Some(checker.subsumes_cached(
@@ -726,217 +599,22 @@ impl OptimizedDatabase {
         &self.stats
     }
 
-    /// Executes a query with the optimizer: refreshes stale views, plans
-    /// (via the lattice traversal), chooses the **cheapest** frontier
-    /// member by estimated filter cost (never worse than the
-    /// smallest-extension pick — the estimate is monotone in the
-    /// candidate count), narrows the view's extension by the query's
-    /// schema-superclass extents in the cost model's cheapest
-    /// (ascending-cardinality) intersection order, and filters the
-    /// narrowed candidates. Falls back to a full evaluation when no view
-    /// subsumes the query.
+    /// Executes a query with the optimizer: refreshes stale views and
+    /// statistics, then plans, chooses the cheapest frontier member and
+    /// filters its narrowed extension (see [`crate::planner`]). Falls
+    /// back to a full evaluation when no view subsumes the query.
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
         let _span = crate::metrics::metrics().execute_ns.span();
         self.catalog.refresh(&self.db);
-        let plan = self.plan(query);
+        self.classify_catalog();
         self.stats.refresh(&self.db);
-        let cost = CostModel::new(&self.stats, &self.db);
-        let chosen = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| self.catalog.view(name))
-            .min_by(|a, b| {
-                let estimate = |v: &crate::views::MaterializedView| {
-                    cost.filter_cost(cost.estimated_candidates(v.extent.len(), query), query)
-                };
-                estimate(a).total_cmp(&estimate(b))
-            });
-        let (answers, exec) = match chosen {
-            Some(view) => {
-                let candidates = cost.narrow_candidates(&view.extent, query);
-                let answers = evaluate_query_over(&self.db, query, Some(&candidates));
-                let stats = ExecutionStats {
-                    candidates_examined: candidates.len(),
-                    used_view: Some(view.definition.name.clone()),
-                    answers: answers.len(),
-                };
-                (answers, stats)
-            }
-            None => self.execute_unoptimized(query),
-        };
-        if let Some(view) = exec.used_view.as_deref() {
-            self.stats.record_view_hit(view);
-        }
-        if self.cell.recording() && query.constraint.is_none() {
-            // The writer records into its own log rather than a ring — it
-            // is the harvester, so there is nobody to race with.
-            self.shape_log.push(ShapeEvent {
-                shape: Arc::new(normalize_shape(query)),
-                used_view: exec.used_view.clone(),
-                candidates_examined: exec.candidates_examined as u64,
-                answers: exec.answers as u64,
-            });
-        }
-        (answers, exec)
-    }
-
-    /// Configures the workload-adaptive view advisor (see
-    /// [`crate::advisor`]). Any mode other than [`AdvisorMode::Off`] turns
-    /// on shape recording in the writer and in every reader; `Off` turns
-    /// it back off (readers then pay one relaxed atomic load per
-    /// execution and nothing else).
-    pub fn set_advisor_config(&mut self, config: AdvisorConfig) {
-        self.cell.set_recording(config.mode != AdvisorMode::Off);
-        self.advisor.set_config(config);
-    }
-
-    /// The advisor's mined-shape state and lifecycle counters.
-    pub fn advisor(&self) -> &Advisor {
-        &self.advisor
-    }
-
-    /// The `ADVISE` report: one line per mined candidate (hottest first)
-    /// plus a summary line.
-    pub fn advisor_report(&self) -> Vec<String> {
-        self.advisor.report_lines()
-    }
-
-    /// One advisor pass at the publish boundary: harvests every reader's
-    /// shape ring plus the writer's own shape log, folds the events into
-    /// the decayed frequency table, and — in [`AdvisorMode::Auto`] —
-    /// evicts cold auto-views and materializes the gain-scored winners
-    /// through the ordinary catalog path. A winner the lattice already
-    /// serves about as cheaply through an existing view is rejected
-    /// instead of materialized. The advisor only ever evicts names it
-    /// minted itself (`__adv_*`); user-declared views are never touched.
-    ///
-    /// Runs strictly between transactions: on a durable database a pass
-    /// that declared a new query class checkpoints (schema changes are
-    /// not expressible as WAL deltas), any other catalog change
-    /// republishes, and a pass that changed nothing publishes nothing.
-    pub fn run_advisor(&mut self) -> Result<AdvisorPass, DurableError> {
-        if self.advisor.config().mode == AdvisorMode::Off {
-            return Ok(AdvisorPass::default());
-        }
-        let mut events = Vec::new();
-        self.cell.harvest_shapes(&mut events);
-        // Reader-side view hits arrive only through the rings; the
-        // writer's own executions tallied theirs directly in `execute`.
-        for event in &events {
-            if let Some(view) = event.used_view.as_deref() {
-                self.stats.record_view_hit(view);
-            }
-        }
-        events.append(&mut self.shape_log);
-        self.advisor.absorb(&events);
-        self.stats.refresh(&self.db);
-        // Surface the per-view tallies in the exposition (`STATS` over
-        // the wire). Gauges are set, not bumped, so passes are idempotent.
-        for (view, hits) in self.stats.view_hit_counts() {
-            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(hits as i64);
-        }
-        let version = self.db.data_version();
-        let deltas = version.saturating_sub(self.advisor_last_version);
-        self.advisor_last_version = version;
-        // Estimated membership checks one delta costs an average view,
-        // from the maintainer's cumulative candidate-ball sizes.
-        let maint = self.catalog.maintenance_stats();
-        let maintenance_per_delta =
-            maint.candidates_examined as f64 / maint.deltas_applied.max(1) as f64;
-        let served = self.catalog.view_names();
-        let cost = CostModel::new(&self.stats, &self.db);
-        let plan = self
-            .advisor
-            .plan_pass(&cost, maintenance_per_delta, deltas, &served);
-        let mut pass = AdvisorPass {
-            harvested: events.len(),
-            ..AdvisorPass::default()
-        };
-        if self.advisor.config().mode != AdvisorMode::Auto {
-            return Ok(pass);
-        }
-        // Evictions first — they free budget for this pass's winners.
-        // Defense in depth: only advisor-minted names are ever evicted.
-        for name in &plan.evict {
-            if Advisor::is_auto_view(name) && self.catalog.evict(name) {
-                self.advisor.note_evicted(name);
-                pass.evicted.push(name.clone());
-            }
-        }
-        let mut schema_changed = false;
-        for (key, existing, definition, expected_extent) in plan.winners {
-            // Subsumption rejection: when the lattice already routes this
-            // shape through a view whose estimated filter cost is within
-            // 2x of a dedicated extension's, a new view buys almost
-            // nothing — leave the existing one to serve it.
-            let current = self.plan(&definition);
-            let incumbent = current
-                .chosen_view
-                .as_deref()
-                .and_then(|name| self.catalog.view(name));
-            if let Some(view) = incumbent {
-                let cost = CostModel::new(&self.stats, &self.db);
-                let via_existing = cost.filter_cost(
-                    cost.estimated_candidates(view.extent.len(), &definition),
-                    &definition,
-                );
-                let dedicated = cost.filter_cost(expected_extent as usize, &definition);
-                if via_existing <= dedicated * 2.0 + 1.0 {
-                    self.advisor.note_rejected_subsumed(key);
-                    continue;
-                }
-            }
-            let name = definition.name.clone();
-            let fresh = existing.is_none();
-            if fresh {
-                // The declaration enters the model through the ordinary
-                // schema path (`update` panics on an untranslatable
-                // model, so pre-validate and skip losers). The served
-                // model may carry pre-existing validation warnings, so
-                // only problems the new declaration *adds* disqualify
-                // it. Evicted auto-views keep their declaration —
-                // checkpoint images refer to views by name — so a
-                // re-materialization is catalog-only.
-                let baseline = subq_dl::validate_model(self.db.model()).len();
-                let mut probe = self.db.model().clone();
-                probe.queries.push(definition.clone());
-                if subq_dl::validate_model(&probe).len() > baseline
-                    || subq_translate::translate_model(&probe).is_err()
-                {
-                    continue;
-                }
-                self.update(|db| db.model_mut().queries.push(definition.clone()));
-                schema_changed = true;
-            }
-            match self.materialize_view(&name) {
-                Ok(()) => {
-                    self.advisor.note_materialized(key, &name, fresh);
-                    pass.materialized.push(name);
-                }
-                Err(_) => continue,
-            }
-        }
-        if !pass.materialized.is_empty() || !pass.evicted.is_empty() {
-            if self.durable.is_some() && schema_changed {
-                self.checkpoint()?;
-            } else {
-                self.publish_snapshot();
-            }
-        }
-        Ok(pass)
+        self.with_context(|context| context.execute(query))
     }
 
     /// Executes a query without using any materialized view (the baseline
     /// the paper's optimization is compared against).
     pub fn execute_unoptimized(&self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
-        let candidates = initial_candidates(&self.db, query);
-        let answers = evaluate_query_over(&self.db, query, Some(&candidates));
-        let stats = ExecutionStats {
-            candidates_examined: candidates.len(),
-            used_view: None,
-            answers: answers.len(),
-        };
-        (answers, stats)
+        planner::execute_unoptimized(&self.db, query)
     }
 }
 
@@ -973,8 +651,8 @@ impl ClassifyOracle for DatabaseOracle<'_> {
 
 /// The QL concept of a view definition: the model's pre-translated query
 /// classes first, a fresh translation of the definition otherwise (e.g.
-/// for the synthesized `isA C` views of schema classes). The single
-/// lookup behind classification, the flat scan, and `view_subsumes`.
+/// for the synthesized `isA C` views of schema classes). Looked up once
+/// per view, at classification; the catalog caches the result.
 fn view_concept(
     definition: &QueryClassDecl,
     db: &Database,
@@ -1140,9 +818,9 @@ mod tests {
         // cached every view concept.
         assert!(odb
             .catalog()
-            .plan_entries()
+            .snapshot()
             .iter()
-            .all(|(_, _, concept)| concept.is_some()));
+            .all(|view| view.concept.is_some()));
         let query = model.query_class("QueryPatient").expect("declared");
         let first = odb.plan(query);
         let second = odb.plan(query);

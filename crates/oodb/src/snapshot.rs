@@ -19,6 +19,11 @@
 //!   internally consistent state (snapshot isolation; there is no
 //!   write-write concurrency to reason about).
 //!
+//! A reader has no planner or executor of its own: [`Reader::plan`],
+//! [`Reader::execute`] and [`Reader::explain`] lend the pinned snapshot
+//! and the reader's private arena and cache to the one query path in
+//! [`crate::planner`] — the code the writer runs over its live state.
+//!
 //! Publishing is cheap because every bulky component is copy-on-write at
 //! a granularity a small transaction touches little of: the store shares
 //! per-class extents, per-attribute id-range *chunks* of postings and
@@ -38,24 +43,24 @@
 //! [`SharedSubsumptionMemo`]; pairs involving a locally interned concept
 //! stay in the reader's small private [`SubsumptionCache`] (which also
 //! keeps the saturated fact closures, LRU-capped). The writer probes with
-//! the same memo, so query shapes it has planned are pre-warmed for every
+//! the same memo — its arena is the canonical one, so its bound is
+//! unlimited — and query shapes it has planned are pre-warmed for every
 //! reader.
 
-use crate::advisor::{normalize_shape, ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
-use crate::eval::{evaluate_query_over, initial_candidates};
-use crate::optimizer::{ExecutionStats, QueryPlan};
-use crate::stats::{CostModel, Statistics};
+use crate::advisor::{ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
+use crate::planner::{self, ExecutionStats, ExplainReport, PlanContext, QueryPlan};
+use crate::stats::Statistics;
 use crate::store::{Database, ObjId};
-use crate::views::{traverse_lattice, traverse_lattice_traced, MaterializedView, TraversalTrace};
+use crate::views::MaterializedView;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
-use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker};
+use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache};
 use subq_concepts::schema::Schema;
 use subq_concepts::symbol::Vocabulary;
 use subq_concepts::term::{ConceptId, TermArena};
 use subq_dl::QueryClassDecl;
-use subq_translate::{translate_query, TranslatedModel};
+use subq_translate::TranslatedModel;
 
 #[cfg(doc)]
 use crate::optimizer::OptimizedDatabase;
@@ -153,8 +158,8 @@ pub struct SnapshotCell {
     /// load per execution when off — the entire read-path cost of a
     /// disabled advisor.
     record_shapes: AtomicBool,
-    /// The shape rings of every reader minted from this cell, harvested
-    /// by the writer at the publish boundary. Touched only at reader
+    /// The shape rings of the writer and of every reader minted from this
+    /// cell, harvested by the writer at the publish boundary. Touched only at reader
     /// creation and harvest time — never on the query path.
     rings: Mutex<Vec<Weak<ShapeRing>>>,
 }
@@ -246,15 +251,15 @@ pub struct Reader {
     arena: TermArena,
     cache: SubsumptionCache,
     shared_bound: usize,
-    /// Cardinality statistics of the pinned snapshot, collected lazily on
-    /// first execution and dropped when [`Reader::sync`] adopts a newer
-    /// snapshot (published snapshots carry an empty log positioned at
-    /// their version, so a fresh collection is the incremental path's
-    /// truncation fallback anyway).
-    stats: Option<Statistics>,
-    /// This reader's shape log: executions are pushed here (lock-free,
-    /// bounded) when the cell has recording enabled; the writer harvests
-    /// at the publish boundary. See [`crate::advisor`].
+    /// Cardinality statistics, brought up to the pinned snapshot on first
+    /// execution after [`Reader::sync`] adopted it. Published snapshots
+    /// carry an empty log positioned at their version, so each catch-up
+    /// is one full collection — the incremental path's truncation
+    /// fallback.
+    stats: Statistics,
+    /// This reader's shape log: executions are pushed here (bounded)
+    /// when the cell has recording enabled; the writer harvests at the
+    /// publish boundary. See [`crate::advisor`].
     shapes: Arc<ShapeRing>,
 }
 
@@ -273,7 +278,7 @@ impl Reader {
             arena,
             cache: SubsumptionCache::new(),
             shared_bound,
-            stats: None,
+            stats: Statistics::new(),
             shapes,
         }
     }
@@ -315,7 +320,6 @@ impl Reader {
             self.cache.clear();
         }
         self.snapshot = latest;
-        self.stats = None;
         true
     }
 
@@ -324,123 +328,48 @@ impl Reader {
         self.cache.stats()
     }
 
-    /// Plans a query against the pinned snapshot's view lattice — the
-    /// same root-down, prune-on-failure traversal as
-    /// [`OptimizedDatabase::plan`], but over the immutable published view
-    /// list: no catalog lock, no classification pass (published views are
-    /// classified), no writer involvement.
-    pub fn plan(&mut self, query: &QueryClassDecl) -> QueryPlan {
-        let _span = crate::metrics::metrics().reader_plan_ns.span();
-        let snapshot = Arc::clone(&self.snapshot);
-        let query_concept = match translate_query(
-            query,
-            snapshot.db.model(),
-            &mut self.vocabulary,
-            &mut self.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return QueryPlan::default(),
-        };
-        let checker = SubsumptionChecker::new(&snapshot.translated.schema);
-        let arena = &mut self.arena;
-        let cache = &mut self.cache;
-        let bound = self.shared_bound;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        let traversal = traverse_lattice(&snapshot.views, |view_concept| {
-            checker.subsumes_shared(
-                arena,
-                query_concept,
-                view_concept,
-                cache,
-                &snapshot.memo,
-                bound,
-            )
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
+    /// Lends the pinned snapshot and this reader's private arena and
+    /// cache to the one query path. Verdicts about concepts below the
+    /// frozen arena's size go through the snapshot's shared memo.
+    fn context(&mut self) -> PlanContext<'_> {
+        let snapshot = &*self.snapshot;
+        PlanContext {
+            db: &snapshot.db,
+            views: &snapshot.views,
+            schema: &snapshot.translated.schema,
+            vocabulary: &mut self.vocabulary,
+            arena: &mut self.arena,
+            cache: &mut self.cache,
+            memo: &snapshot.memo,
+            shared_bound: self.shared_bound,
+            stats: &self.stats,
+            plan_ns: &crate::metrics::metrics().reader_plan_ns,
+            shapes: self.cell.recording().then_some(&*self.shapes),
         }
     }
 
-    /// Executes a query against the pinned snapshot: plans, chooses the
-    /// cheapest subsuming frontier view by estimated filter cost, narrows
-    /// its stored extension by the query's schema-superclass extents
-    /// (cheapest intersection first — same cost model as
-    /// [`OptimizedDatabase::execute`]), filters the narrowed candidates,
-    /// and falls back to a full evaluation when no view subsumes — all
+    /// Plans a query against the pinned snapshot's view lattice — the
+    /// same planner as [`OptimizedDatabase::plan`] (see
+    /// [`crate::planner`]), over the immutable published view list: no
+    /// catalog lock, no classification pass (published views are
+    /// classified), no writer involvement.
+    pub fn plan(&mut self, query: &QueryClassDecl) -> QueryPlan {
+        self.context().plan(query, None).unwrap_or_default()
+    }
+
+    /// Executes a query against the pinned snapshot — the same executor
+    /// as [`OptimizedDatabase::execute`] (see [`crate::planner`]), all
     /// over immutable state.
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
         let _span = crate::metrics::metrics().reader_execute_ns.span();
-        let plan = self.plan(query);
-        let snapshot = Arc::clone(&self.snapshot);
-        let stats = self
-            .stats
-            .get_or_insert_with(|| Statistics::collect(&snapshot.db));
-        let cost = CostModel::new(stats, &snapshot.db);
-        let chosen = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| snapshot.view(name))
-            .min_by(|a, b| {
-                let estimate = |v: &&MaterializedView| {
-                    cost.filter_cost(cost.estimated_candidates(v.extent.len(), query), query)
-                };
-                estimate(a).total_cmp(&estimate(b))
-            });
-        let (answers, exec) = match chosen {
-            Some(view) => {
-                let candidates = cost.narrow_candidates(&view.extent, query);
-                let answers = evaluate_query_over(&snapshot.db, query, Some(&candidates));
-                let stats = ExecutionStats {
-                    candidates_examined: candidates.len(),
-                    used_view: Some(view.definition.name.clone()),
-                    answers: answers.len(),
-                };
-                (answers, stats)
-            }
-            None => self.execute_unoptimized(query),
-        };
-        if let Some(view) = exec.used_view.as_deref() {
-            if let Some(stats) = self.stats.as_mut() {
-                stats.record_view_hit(view);
-            }
-        }
-        // Shape recording for the advisor: one relaxed load when off;
-        // when on, normalize and push into this reader's bounded ring
-        // (never blocks, never allocates past the ring). Constrained
-        // queries are skipped — their shapes cannot be materialized.
-        if self.cell.recording() && query.constraint.is_none() {
-            self.shapes.push(ShapeEvent {
-                shape: Arc::new(normalize_shape(query)),
-                used_view: exec.used_view.clone(),
-                candidates_examined: exec.candidates_examined as u64,
-                answers: exec.answers as u64,
-            });
-        }
-        (answers, exec)
+        self.stats.refresh(&self.snapshot.db);
+        self.context().execute(query)
     }
 
     /// Executes a query against the pinned snapshot without using any
     /// materialized view.
     pub fn execute_unoptimized(&self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
-        let candidates = initial_candidates(&self.snapshot.db, query);
-        let answers = evaluate_query_over(&self.snapshot.db, query, Some(&candidates));
-        let stats = ExecutionStats {
-            candidates_examined: candidates.len(),
-            used_view: None,
-            answers: answers.len(),
-        };
-        (answers, stats)
+        planner::execute_unoptimized(&self.snapshot.db, query)
     }
 
     /// Whether one object is an answer of the query in the pinned
@@ -451,185 +380,12 @@ impl Reader {
     }
 
     /// Explains how the query would be planned and executed against the
-    /// pinned snapshot: the same traversal as [`Reader::plan`] (so the
-    /// report's counters are exactly the `QueryPlan` the planner would
-    /// return for this query in this cache state), plus the per-view
-    /// probe order, the pruned views, the cost model's estimate for each
-    /// frontier member with the executor's pick, and the narrowing
-    /// (intersection) order. Probes go through the shared memo like any
-    /// plan, so explaining warms the caches the same way planning does.
+    /// pinned snapshot: the plan [`Reader::plan`] returns in this cache
+    /// state, the per-view probe order, the pruned views, the cost
+    /// model's estimate for each frontier member with the pick
+    /// [`Reader::execute`] makes, and the narrowing order.
     pub fn explain(&mut self, query: &QueryClassDecl) -> ExplainReport {
-        let snapshot = Arc::clone(&self.snapshot);
-        let query_concept = match translate_query(
-            query,
-            snapshot.db.model(),
-            &mut self.vocabulary,
-            &mut self.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return ExplainReport::default(),
-        };
-        let checker = SubsumptionChecker::new(&snapshot.translated.schema);
-        let arena = &mut self.arena;
-        let cache = &mut self.cache;
-        let bound = self.shared_bound;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        let (traversal, trace) = traverse_lattice_traced(&snapshot.views, |view_concept| {
-            checker.subsumes_shared(
-                arena,
-                query_concept,
-                view_concept,
-                cache,
-                &snapshot.memo,
-                bound,
-            )
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        let plan = QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
-        };
-        let stats = self
-            .stats
-            .get_or_insert_with(|| Statistics::collect(&snapshot.db));
-        let cost = CostModel::new(stats, &snapshot.db);
-        let frontier: Vec<FrontierEstimate> = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| snapshot.view(name))
-            .map(|v| {
-                let estimated_candidates = cost.estimated_candidates(v.extent.len(), query);
-                FrontierEstimate {
-                    name: v.definition.name.clone(),
-                    extent: v.extent.len(),
-                    estimated_candidates,
-                    estimated_cost: cost.filter_cost(estimated_candidates, query),
-                }
-            })
-            .collect();
-        // The executor's pick, chosen exactly like `Reader::execute`
-        // (iterator `min_by` keeps the *last* of equal minima).
-        let chosen = frontier
-            .iter()
-            .min_by(|a, b| a.estimated_cost.total_cmp(&b.estimated_cost))
-            .map(|f| f.name.clone());
-        let actual_candidates = chosen
-            .as_deref()
-            .and_then(|name| snapshot.view(name))
-            .map(|v| cost.narrow_candidates(&v.extent, query).len());
-        let narrowing_order = cost
-            .intersection_order(query)
-            .into_iter()
-            .map(|(class, cardinality)| (class.to_owned(), cardinality))
-            .collect();
-        ExplainReport {
-            plan,
-            trace,
-            frontier,
-            chosen,
-            narrowing_order,
-            actual_candidates,
-        }
-    }
-}
-
-/// One frontier member of an [`ExplainReport`] with the cost model's
-/// estimates the executor compares.
-#[derive(Clone, Debug)]
-pub struct FrontierEstimate {
-    /// The view's name.
-    pub name: String,
-    /// Stored extension size.
-    pub extent: usize,
-    /// Estimated candidates left after narrowing by the query's
-    /// schema-superclass extents.
-    pub estimated_candidates: usize,
-    /// Estimated filter cost — the quantity [`Reader::execute`]
-    /// minimizes over the frontier.
-    pub estimated_cost: f64,
-}
-
-/// The structured answer of [`Reader::explain`]: the plan the planner
-/// would return for the query (identical counters), the traversal's
-/// per-view events, and the cost model's reasoning for the executor's
-/// choice.
-#[derive(Clone, Debug, Default)]
-pub struct ExplainReport {
-    /// The plan, with counters from exactly this traversal.
-    pub plan: QueryPlan,
-    /// Fired probes in traversal order and the views pruned without a
-    /// probe.
-    pub trace: TraversalTrace,
-    /// The frontier in plan order (smallest extent first) with cost
-    /// estimates.
-    pub frontier: Vec<FrontierEstimate>,
-    /// The frontier member the executor would filter (cheapest estimated
-    /// cost), if any view subsumes.
-    pub chosen: Option<String>,
-    /// The narrowing order: the query's schema superclasses, ascending
-    /// by estimated cardinality, as the executor intersects them.
-    pub narrowing_order: Vec<(String, usize)>,
-    /// Candidates actually left after narrowing the chosen view's
-    /// extension (the number the executor's filter examines).
-    pub actual_candidates: Option<usize>,
-}
-
-impl ExplainReport {
-    /// Renders the report as structured text, one datum per line, no
-    /// blank lines — the payload of the server's `EXPLAIN` command.
-    ///
-    /// Line grammar: a `plan` line carrying every `QueryPlan` counter,
-    /// one `probe` line per fired probe (in traversal order), one
-    /// `pruned` line per unprobed view, one `frontier` line per frontier
-    /// member (`chosen=true` on the executor's pick), one `narrow` line
-    /// per intersected superclass, and a final `candidates` line.
-    pub fn render_lines(&self) -> Vec<String> {
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "plan chosen={} subsuming={} cached_probes={} fresh_probes={} fact_saturations={} probes_pruned={} lattice_depth={}",
-            self.chosen.as_deref().unwrap_or("-"),
-            self.plan.subsuming_views.len(),
-            self.plan.cached_probes,
-            self.plan.fresh_probes,
-            self.plan.fact_saturations,
-            self.plan.probes_pruned,
-            self.plan.lattice_depth,
-        ));
-        for (i, (name, verdict)) in self.trace.probed.iter().enumerate() {
-            lines.push(format!(
-                "probe {i} {name} {}",
-                if *verdict { "subsumes" } else { "rejected" }
-            ));
-        }
-        for name in &self.trace.skipped {
-            lines.push(format!("pruned {name}"));
-        }
-        for f in &self.frontier {
-            lines.push(format!(
-                "frontier {} extent={} est_candidates={} est_cost={:.3} chosen={}",
-                f.name,
-                f.extent,
-                f.estimated_candidates,
-                f.estimated_cost,
-                self.chosen.as_deref() == Some(f.name.as_str()),
-            ));
-        }
-        for (i, (class, cardinality)) in self.narrowing_order.iter().enumerate() {
-            lines.push(format!("narrow {i} {class} card={cardinality}"));
-        }
-        lines.push(match self.actual_candidates {
-            Some(n) => format!("candidates actual={n}"),
-            None => "candidates actual=-".to_owned(),
-        });
-        lines
+        self.stats.refresh(&self.snapshot.db);
+        self.context().explain(query)
     }
 }

@@ -46,11 +46,12 @@ pub struct Statistics {
     pub incremental_refreshes: u64,
     /// Class/attribute entries re-read across all incremental refreshes.
     pub entries_touched: u64,
-    /// View name → number of executions that chose it as the frontier
-    /// member to filter. Observed, not derivable from the store, so it is
-    /// preserved verbatim across full collections and incremental
-    /// refreshes — the advisor's eviction signal, also surfaced through
-    /// the `subq_view_hits*` telemetry counters in `STATS`.
+    /// View name → number of recorded executions that chose it as the
+    /// frontier member to filter — the writer's tally, folded in from the
+    /// harvested shape events of each advisor pass and surfaced through
+    /// the `subq_view_hits{view=…}` gauges in `STATS`. Observed, not
+    /// derivable from the store, so it is preserved verbatim across full
+    /// collections and incremental refreshes.
     view_hits: FxHashMap<String, u64>,
 }
 
@@ -152,18 +153,11 @@ impl Statistics {
         self.attrs.get(attribute).copied().unwrap_or_default()
     }
 
-    /// Tallies one execution that routed through `view` — called by the
-    /// executors with the chosen frontier member.
+    /// Tallies one harvested execution that routed through `view`. The
+    /// process-wide `subq_view_hits_total` is not touched here: the
+    /// executor already counted the execution when it ran.
     pub fn record_view_hit(&mut self, view: &str) {
         *self.view_hits.entry(view.to_owned()).or_insert(0) += 1;
-        crate::metrics::metrics().view_hits.inc();
-    }
-
-    /// Tallies `count` harvested reader-side executions of `view` at
-    /// once (the writer absorbs reader hit streams per advisor pass).
-    pub fn record_view_hits(&mut self, view: &str, count: u64) {
-        *self.view_hits.entry(view.to_owned()).or_insert(0) += count;
-        crate::metrics::metrics().view_hits.add(count);
     }
 
     /// Executions that chose `view` as the frontier member to filter.
@@ -427,7 +421,9 @@ mod tests {
         let mut stats = Statistics::collect(&db);
         stats.record_view_hit("ViewPatient");
         stats.record_view_hit("ViewPatient");
-        stats.record_view_hits("Person", 3);
+        for _ in 0..3 {
+            stats.record_view_hit("Person");
+        }
         assert_eq!(stats.view_hits("ViewPatient"), 2);
         assert_eq!(stats.view_hits("Person"), 3);
         assert_eq!(stats.view_hits("Nonsense"), 0);

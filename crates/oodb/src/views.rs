@@ -16,7 +16,7 @@
 //! the first-materialized view stays the *representative* and later
 //! equivalent views attach to it as peers.
 //!
-//! The planner exploits the diagram through [`ViewCatalog::traverse`]:
+//! The planner ([`crate::planner`]) exploits the diagram by traversing it:
 //! because `C ⊑ P` and `Q ⋢ P` imply `Q ⋢ C`, a failed probe of a parent
 //! prunes every view below it, so a query is tested against a pruned
 //! top-down frontier instead of the whole catalog (the flat `O(N)` scan
@@ -148,7 +148,7 @@ pub trait ClassifyOracle {
     fn subsumes(&mut self, sub: ConceptId, sup: ConceptId) -> bool;
 }
 
-/// The outcome of one lattice traversal ([`ViewCatalog::traverse`]).
+/// The outcome of one lattice traversal.
 #[derive(Clone, Debug, Default)]
 pub struct LatticeTraversal {
     /// The maximal-specific subsuming views (`(name, extent size)`): every
@@ -166,7 +166,7 @@ pub struct LatticeTraversal {
 }
 
 /// The per-view event log of one traced traversal
-/// ([`traverse_lattice_traced`]) — what EXPLAIN reports beyond the
+/// ([`traverse_lattice`] with a trace) — what EXPLAIN reports beyond the
 /// [`LatticeTraversal`] counters. `probed.len()` equals the traversal's
 /// `probes`; `skipped.len()` equals its `pruned`.
 #[derive(Clone, Debug, Default)]
@@ -216,7 +216,9 @@ impl ViewCatalog {
         ViewCatalog::default()
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<MaterializedView>> {
+    /// The views under the shared lock — what the writer lends its
+    /// [`PlanContext`](crate::planner) for the length of one call.
+    pub(crate) fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<MaterializedView>> {
         self.views.read().expect("view catalog lock poisoned")
     }
 
@@ -311,53 +313,14 @@ impl ViewCatalog {
             .collect()
     }
 
-    /// What the planner needs per view: name, extent size, and the cached
-    /// translated concept — no definition or extent clones. Views whose
-    /// concept entry is `None` have not been translated since the last
-    /// schema change; [`ViewCatalog::plan_entries_with`] fills them in.
-    pub fn plan_entries(&self) -> Vec<(String, usize, Option<ConceptId>)> {
-        self.read()
-            .iter()
-            .map(|v| (v.definition.name.clone(), v.extent.len(), v.concept))
-            .collect()
-    }
-
-    /// One pass over the catalog for the planner: views whose concept is
-    /// not cached yet are translated through `translate` and the result is
-    /// stored back, all under a single lock acquisition (no per-view
-    /// lookups or definition clones). Views that fail to translate are
-    /// skipped; they are retried on the next plan.
-    pub fn plan_entries_with(
-        &self,
-        mut translate: impl FnMut(&QueryClassDecl) -> Option<ConceptId>,
-    ) -> Vec<(String, usize, ConceptId)> {
-        let mut views = self.write();
-        let mut entries = Vec::with_capacity(views.len());
-        for view in views.iter_mut() {
-            let concept = match view.concept {
-                Some(concept) => concept,
-                None => match translate(&view.definition) {
-                    Some(concept) => {
-                        view.concept = Some(concept);
-                        concept
-                    }
-                    None => continue,
-                },
-            };
-            entries.push((view.definition.name.clone(), view.extent.len(), concept));
-        }
-        entries
-    }
-
     /// Inserts every not-yet-classified view into the subsumption lattice,
     /// in materialization order, using the oracle for translation and
     /// subsumption probes. Idempotent: a fully classified catalog returns
     /// without probing.
     pub fn classify_pending(&self, oracle: &mut impl ClassifyOracle) {
-        // Fast path under the shared lock: planners call this on every
+        // Fast path under the shared lock: the writer calls this on every
         // plan, and in steady state (views classified eagerly on
-        // materialization) nothing is pending — don't serialize concurrent
-        // readers on the writer lock just to find that out.
+        // materialization) nothing is pending.
         if self.read().iter().all(|v| v.classified) {
             return;
         }
@@ -378,38 +341,6 @@ impl ViewCatalog {
             };
             classify_one(&mut views, index, concept, oracle);
         }
-    }
-
-    /// Plans a query by traversing the lattice from its roots: `probe`
-    /// decides whether the query is subsumed by a view concept, a failed
-    /// probe prunes the whole sub-DAG below it (soundly, since subsumption
-    /// is transitive), and the result is the *maximal-specific* subsuming
-    /// frontier. Views not yet classified (see
-    /// [`ViewCatalog::classify_pending`]) are ignored.
-    pub fn traverse(&self, probe: impl FnMut(ConceptId) -> bool) -> LatticeTraversal {
-        traverse_lattice(&self.read(), probe)
-    }
-
-    /// Depth of the classified lattice (longest root-to-leaf chain,
-    /// counting roots as 1; 0 when nothing is classified) — the depth a
-    /// traversal reports when no probe fails. The flat planner
-    /// ([`OptimizedDatabase::plan_flat`](crate::OptimizedDatabase::plan_flat))
-    /// reports this for counter parity with the lattice planner.
-    pub fn lattice_depth(&self) -> usize {
-        let views = self.read();
-        let (order, _) = representative_topo_order(&views);
-        let mut depth: Vec<usize> = vec![0; views.len()];
-        let mut max = 0;
-        for &i in &order {
-            depth[i] = 1 + views[i]
-                .parents
-                .iter()
-                .map(|&p| depth[p])
-                .max()
-                .unwrap_or(0);
-            max = max.max(depth[i]);
-        }
-        max
     }
 
     /// Structural invariants of the lattice, as human-readable violations
@@ -722,32 +653,36 @@ impl ViewCatalog {
     }
 }
 
-/// One lattice traversal over a slice of views — the shared engine behind
-/// [`ViewCatalog::traverse`] (under the catalog's read lock) and the
-/// lock-free planning of a published [`Snapshot`](crate::snapshot::Snapshot)
-/// (over its immutable view list). Probes run root-down; a failed probe
-/// prunes the whole sub-DAG below it; the result is the maximal-specific
-/// subsuming frontier.
+/// Depth of the classified lattice (longest root-to-leaf chain, counting
+/// roots as 1; 0 when nothing is classified) — the depth a traversal
+/// reports when no probe fails. The flat planner
+/// ([`OptimizedDatabase::plan_flat`](crate::OptimizedDatabase::plan_flat))
+/// reports this for counter parity with the lattice planner.
+pub(crate) fn lattice_depth(views: &[MaterializedView]) -> usize {
+    let (order, _) = representative_topo_order(views);
+    let mut depth: Vec<usize> = vec![0; views.len()];
+    let mut max = 0;
+    for &i in &order {
+        depth[i] = 1 + views[i]
+            .parents
+            .iter()
+            .map(|&p| depth[p])
+            .max()
+            .unwrap_or(0);
+        max = max.max(depth[i]);
+    }
+    max
+}
+
+/// One lattice traversal over a slice of views — the engine behind every
+/// plan (see [`crate::planner`]): `probe` decides whether the query is
+/// subsumed by a view concept, probes run root-down, a failed probe
+/// prunes the whole sub-DAG below it (soundly, since subsumption is
+/// transitive), and the result is the maximal-specific subsuming
+/// frontier. Views not yet classified are ignored. A `trace` collects the
+/// per-view events EXPLAIN reports — kept optional because filling it
+/// clones one name per classified view.
 pub(crate) fn traverse_lattice(
-    views: &[MaterializedView],
-    probe: impl FnMut(ConceptId) -> bool,
-) -> LatticeTraversal {
-    traverse_lattice_inner(views, probe, None)
-}
-
-/// [`traverse_lattice`] with the per-view event trace EXPLAIN reports —
-/// kept off the planning hot path because collecting it clones one name
-/// per classified view.
-pub(crate) fn traverse_lattice_traced(
-    views: &[MaterializedView],
-    probe: impl FnMut(ConceptId) -> bool,
-) -> (LatticeTraversal, TraversalTrace) {
-    let mut trace = TraversalTrace::default();
-    let result = traverse_lattice_inner(views, probe, Some(&mut trace));
-    (result, trace)
-}
-
-fn traverse_lattice_inner(
     views: &[MaterializedView],
     mut probe: impl FnMut(ConceptId) -> bool,
     mut trace: Option<&mut TraversalTrace>,
@@ -1356,11 +1291,11 @@ mod tests {
         assert_eq!(e6.equiv, Some(1), "E6 collapses onto D6");
         // Traversal: a query equal to 12 is subsumed by everything; the
         // frontier is D12 alone (most specific).
-        let result = catalog.traverse(|c| 12 % oracle.number(c) == 0);
+        let result = traverse_lattice(&catalog.read(), |c| 12 % oracle.number(c) == 0, None);
         let names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["D12"]);
         // A query equal to 6: frontier is the equivalence class {D6, E6}.
-        let result = catalog.traverse(|c| 6 % oracle.number(c) == 0);
+        let result = traverse_lattice(&catalog.read(), |c| 6 % oracle.number(c) == 0, None);
         let mut names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         names.sort();
         assert_eq!(names, vec!["D6", "E6"]);
@@ -1373,10 +1308,14 @@ mod tests {
         // 12 is below the failed 6 (and below 4) — probed only when every
         // parent holds, so it is pruned too.
         let mut probed = Vec::new();
-        let result = catalog.traverse(|c| {
-            probed.push(oracle.number(c));
-            4 % oracle.number(c) == 0
-        });
+        let result = traverse_lattice(
+            &catalog.read(),
+            |c| {
+                probed.push(oracle.number(c));
+                4 % oracle.number(c) == 0
+            },
+            None,
+        );
         let names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["D4"]);
         assert!(!probed.contains(&6), "6 must be pruned after 3 fails");

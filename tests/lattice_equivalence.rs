@@ -10,11 +10,14 @@
 //! * the chosen views of both planners have extensions of the same
 //!   (minimal) size, so neither filters through a larger set;
 //! * the lattice itself satisfies its structural invariants after every
-//!   batch of insertions.
+//!   batch of insertions;
+//! * the writer and a snapshot reader — two contexts over the one planner
+//!   and executor — agree on every plan, answer set and execution
+//!   statistic, and `EXPLAIN` reports the plan and the pick that run.
 
 use std::collections::{BTreeSet, HashMap};
 use subq::dl::QueryClassDecl;
-use subq::oodb::{evaluate_query, evaluate_query_over, OptimizedDatabase};
+use subq::oodb::{evaluate_query, evaluate_query_over, OptimizedDatabase, QueryPlan};
 use subq::workload::{
     hierarchical_catalog, synthetic_hospital, FamilyShape, HierarchyParams, HospitalParams,
 };
@@ -27,6 +30,20 @@ fn check_catalog(
     queries: &[QueryClassDecl],
     label: &str,
 ) {
+    let db = odb.database().clone();
+    check_writer_reader_parity(
+        || {
+            let mut engine = OptimizedDatabase::new(db.clone()).expect("translates");
+            for name in view_names {
+                engine.materialize_view(name).expect("materializes");
+            }
+            engine.publish_snapshot();
+            engine
+        },
+        queries,
+        label,
+    );
+
     for name in view_names {
         odb.materialize_view(name)
             .unwrap_or_else(|e| panic!("{label}: materializing {name}: {e}"));
@@ -106,6 +123,82 @@ fn check_catalog(
                 stats.used_view.is_some(),
                 "{label}: query {} must use a view when one subsumes",
                 query.name
+            );
+        }
+    }
+}
+
+/// The writer and a snapshot reader are two contexts over one planner and
+/// executor, so over the same catalog they must agree field for field.
+///
+/// `build` returns a published engine with every view materialized; it is
+/// called three times so that nothing under comparison shares a cache: the
+/// writer plans on its own engine, the reader pins the snapshot of a second
+/// engine that never plans (same arena, its own memo), and a twin reader on
+/// a third engine — always in the same cache state as the reader — is the
+/// one `EXPLAIN` is asked of.
+///
+/// The one asymmetry is not in the query path: classifying the catalog
+/// leaves view-vs-view verdicts and saturated view closures in the writer's
+/// private cache, so a first-pass plan of a query whose concept *is* a view
+/// concept can be answered warmer by the writer than by any reader. First
+/// passes are therefore compared whole only where the writer answered
+/// nothing from its cache (elsewhere the frontier, the pruning, the depth
+/// and the probe total must still agree, and the writer must be the warmer
+/// side); the second pass — everything cached on both sides — is compared
+/// whole for every query.
+fn check_writer_reader_parity(
+    build: impl Fn() -> OptimizedDatabase,
+    queries: &[QueryClassDecl],
+    label: &str,
+) {
+    let whole = |plan: &QueryPlan| format!("{plan:?}");
+    let mut writer = build();
+    let (published, twin_engine) = (build(), build());
+    let (mut reader, mut twin) = (published.reader(), twin_engine.reader());
+    for pass in ["cold", "warm"] {
+        for query in queries {
+            let tag = format!("{label}: {pass} plan of {}", query.name);
+            let by_writer = writer.plan(query);
+            let by_reader = reader.plan(query);
+            assert_eq!(
+                whole(&twin.explain(query).plan),
+                whole(&by_reader),
+                "{tag}: explain().plan differs from plan() in the same cache state"
+            );
+            let probes = |plan: &QueryPlan| plan.cached_probes + plan.fresh_probes;
+            assert_eq!(
+                by_writer.subsuming_views, by_reader.subsuming_views,
+                "{tag}"
+            );
+            assert_eq!(by_writer.chosen_view, by_reader.chosen_view, "{tag}");
+            assert_eq!(by_writer.probes_pruned, by_reader.probes_pruned, "{tag}");
+            assert_eq!(by_writer.lattice_depth, by_reader.lattice_depth, "{tag}");
+            assert_eq!(probes(&by_writer), probes(&by_reader), "{tag}");
+            if pass == "warm" || by_writer.cached_probes == 0 {
+                assert_eq!(whole(&by_writer), whole(&by_reader), "{tag}");
+            } else {
+                assert!(by_writer.fresh_probes <= by_reader.fresh_probes, "{tag}");
+                assert!(
+                    by_writer.fact_saturations <= by_reader.fact_saturations,
+                    "{tag}"
+                );
+            }
+        }
+    }
+    for query in queries {
+        let tag = format!("{label}: execution of {}", query.name);
+        let by_writer = writer.execute(query);
+        let by_reader = reader.execute(query);
+        assert_eq!(by_writer, by_reader, "{tag}");
+        let report = twin.explain(query);
+        let (_, stats) = by_reader;
+        assert_eq!(report.chosen, stats.used_view, "{tag}: explain().chosen");
+        if stats.used_view.is_some() {
+            assert_eq!(
+                report.actual_candidates,
+                Some(stats.candidates_examined),
+                "{tag}: explain().actual_candidates"
             );
         }
     }
