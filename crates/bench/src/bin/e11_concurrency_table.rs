@@ -24,9 +24,7 @@ use subq_bench::e11::{publish_cost_arm, throughput_arm};
 use subq_bench::{json_object, json_str, write_json_rows};
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let window = Duration::from_millis(400);
     let mut json_rows = Vec::new();
 
@@ -97,7 +95,7 @@ fn main() {
     write_json_rows("BENCH_e11.json", &json_rows);
     println!();
     println!("Readers plan and answer over immutable snapshots with no locks and no");
-    println!("writer involvement; the writer maintains views incrementally (in parallel");
-    println!("across independent lattice components) and publishes with one atomic swap;");
+    println!("writer involvement; the writer maintains views incrementally (one pass");
+    println!("over the lattice order) and publishes with one atomic swap;");
     println!("a commit copies the extents, views and attribute chunks it touched, not the store.");
 }

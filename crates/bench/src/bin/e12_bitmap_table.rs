@@ -8,9 +8,10 @@
 //!    (`BTreeSet`) baseline, across occupancy densities. The acceptance
 //!    gate is ≥5× at the dense end.
 //! 2. **Scatter-gather** — full evaluation of a path view over a
-//!    400k-object store with the worker count forced to 1/2/4/8 id-range
-//!    shards. Answers must be identical at every shard count; the
-//!    speedup is core-bound, so the table records the cores it ran on.
+//!    400k-object store over 1/2/4/8 id-range shards
+//!    (`filter_members_sharded`). The answer set must be identical at
+//!    every shard count; the speedup is core-bound, so the table records
+//!    the cores it ran on.
 //! 3. **Plan quality** — on the seeded E9 catalogs (tree, chain,
 //!    diamond, flat × 50 views), the cost-based view choice versus every
 //!    enumerable subsuming view: worst `chosen/best`
@@ -29,9 +30,7 @@ use subq_bench::e12::{intersect_arm, latency_arm, plan_quality_arm, scatter_arm,
 use subq_bench::{json_object, json_str, row, write_json_rows};
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let mut json_rows = Vec::new();
 
     // Arm 1: intersection throughput versus density.
@@ -81,35 +80,30 @@ fn main() {
     println!("{}", row(&headers.map(String::from)));
     println!("{}", row(&headers.map(|_| "---".into())));
     let (db, query) = scatter_setup(400_000);
-    let mut base_ns = 0u128;
-    let mut base_answers = 0usize;
-    for workers in [1usize, 2, 4, 8] {
-        let r = scatter_arm(&db, &query, workers);
-        if workers == 1 {
-            base_ns = r.elapsed_ns;
-            base_answers = r.answers;
-        }
-        assert_eq!(
-            r.answers, base_answers,
-            "scatter-gather must be shard-count invariant"
+    let rows = [1usize, 2, 4, 8].map(|shards| scatter_arm(&db, &query, shards));
+    let base = &rows[0];
+    for r in &rows {
+        assert!(
+            r.answers == base.answers,
+            "scatter-gather must return the same answer set at every shard count"
         );
-        let speedup = base_ns as f64 / r.elapsed_ns as f64;
+        let speedup = base.elapsed_ns as f64 / r.elapsed_ns as f64;
         println!(
             "{}",
             row(&[
-                workers.to_string(),
+                r.shards.to_string(),
                 r.elapsed_ns.to_string(),
-                r.answers.to_string(),
+                r.answers.len().to_string(),
                 format!("{speedup:.2}×"),
             ])
         );
         json_rows.push(json_object(&[
             ("experiment", json_str("e12_bitmap")),
             ("arm", json_str("scatter")),
-            ("workers", workers.to_string()),
+            ("workers", r.shards.to_string()),
             ("cores", cores.to_string()),
             ("elapsed_ns", r.elapsed_ns.to_string()),
-            ("answers", r.answers.to_string()),
+            ("answers", r.answers.len().to_string()),
             ("speedup_vs_1", format!("{speedup:.2}")),
         ]));
     }

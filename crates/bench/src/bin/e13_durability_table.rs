@@ -30,9 +30,7 @@ use subq_bench::e13::{checkpoint_size_arm, commit_latency_arm, recovery_arm, wal
 use subq_bench::{json_object, json_str, row, write_json_rows};
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let mut json_rows = Vec::new();
 
     // Arm 1: the WAL portion of commit latency versus fsync batch size.

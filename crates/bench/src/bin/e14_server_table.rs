@@ -27,9 +27,7 @@ use subq_bench::e14::mixed_arm;
 use subq_bench::{json_object, json_str, row, write_json_rows};
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let mut json_rows = Vec::new();
 
     // Arm 1: aggregate throughput and per-op-class latency vs fleet size.

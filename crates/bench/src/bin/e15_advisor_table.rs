@@ -25,9 +25,7 @@ use subq_bench::e15::advisor_arm;
 use subq_bench::{json_object, json_str, row, write_json_rows};
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let clients = 4usize;
     let ops = 600usize;
     let mut json_rows = Vec::new();

@@ -296,9 +296,7 @@ fn e11_checks(failures: &mut Vec<String>) -> usize {
     // best of three attempts). The core-scaled speedup target itself is
     // enforced on the committed table above, where it is reproducible;
     // live it is printed as a warning so a slow runner cannot fail CI.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let live_target = (0.35 * cores as f64).clamp(0.7, 4.0);
     let collapse_floor = 0.5;
     let window = std::time::Duration::from_millis(400);
@@ -718,9 +716,7 @@ fn e14_checks(failures: &mut Vec<String>) -> usize {
 
     // Live: 1 vs 4 clients, anti-collapse floor only (the full
     // core-scaled bound is enforced on the committed table above).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = subq_bench::cores();
     let live_target = (0.35 * cores as f64).clamp(0.7, 4.0);
     let collapse_floor = 0.5;
     let mut best_live = 0.0f64;

@@ -16,6 +16,14 @@ use subq::calculus::{CompletionStats, SubsumptionChecker};
 use subq::concepts::normalize::normalize_concept;
 use subq::workload::ScalingInstance;
 
+/// The machine's core count, recorded by every table whose wall-clock
+/// columns depend on it. Uncached: ask once per process and keep the
+/// value.
+#[allow(clippy::disallowed_methods)]
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Runs a scaling instance through the checker (delta engine) and returns
 /// whether it was subsumed together with the completion statistics.
 pub fn run_instance(instance: &mut ScalingInstance) -> (bool, CompletionStats) {
@@ -366,7 +374,7 @@ pub mod e12 {
     use std::hint::black_box;
     use std::time::Instant;
     use subq::dl::QueryClassDecl;
-    use subq::oodb::eval::{evaluate_query_set, set_eval_workers};
+    use subq::oodb::eval::{filter_members_sharded, initial_candidates};
     use subq::oodb::{CostModel, Database, ObjId, ObjSet, OptimizedDatabase, Statistics};
     use subq::workload::{
         churn_trace, hierarchical_catalog, ChurnParams, FamilyShape, HierarchyParams,
@@ -484,31 +492,31 @@ pub mod e12 {
         (trace.db, query)
     }
 
-    /// One scatter-gather arm: full evaluation with the worker count
-    /// forced to `workers` (1 = sequential baseline), best of 3.
+    /// One scatter-gather arm: full evaluation over `shards` id-range
+    /// shards (1 = sequential baseline), best of 3.
     pub struct ScatterRow {
-        /// Worker threads (= id-range shards) forced for this arm.
-        pub workers: usize,
+        /// Id-range shards (= worker threads) of this arm.
+        pub shards: usize,
         /// Best full-evaluation wall-clock.
         pub elapsed_ns: u128,
-        /// Answer count — must be identical across shard counts.
-        pub answers: usize,
+        /// The answers — must be the same set at every shard count.
+        pub answers: ObjSet,
     }
 
-    /// Measures one scatter-gather arm and restores the worker default.
-    pub fn scatter_arm(db: &Database, query: &QueryClassDecl, workers: usize) -> ScatterRow {
-        set_eval_workers(Some(workers));
+    /// Measures one scatter-gather arm: the query's initial candidates
+    /// filtered over `shards` shards.
+    pub fn scatter_arm(db: &Database, query: &QueryClassDecl, shards: usize) -> ScatterRow {
         let mut best = u128::MAX;
-        let mut answers = 0usize;
+        let mut answers = ObjSet::new();
         for _ in 0..3 {
             let start = Instant::now();
-            let result = evaluate_query_set(db, query, None);
+            let base = initial_candidates(db, query);
+            let result = filter_members_sharded(db, query, &base, shards);
             best = best.min(start.elapsed().as_nanos());
-            answers = result.len();
+            answers = result;
         }
-        set_eval_workers(None);
         ScatterRow {
-            workers,
+            shards,
             elapsed_ns: best,
             answers,
         }

@@ -10,7 +10,7 @@
 use crate::objset::ObjSet;
 use crate::store::{Database, ObjId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use subq_dl::{ConstraintExpr, LabeledPath, PathFilter, QueryClassDecl, Term};
 
 /// Evaluates a query class over the whole database, materializing the
@@ -79,47 +79,55 @@ pub fn initial_candidates(db: &Database, query: &QueryClassDecl) -> ObjSet {
     acc
 }
 
-/// Process-wide override of the evaluation worker count: 0 = auto
-/// (`std::thread::available_parallelism`).
-static EVAL_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Caps (or forces) the number of worker threads scatter-gather
-/// evaluation may use, process-wide. `None` restores the default —
-/// [`std::thread::available_parallelism`]. Setting an explicit count also
-/// waives the minimum-work threshold, the same contract as
-/// [`crate::maintain::set_maintenance_workers`].
-pub fn set_eval_workers(workers: Option<usize>) {
-    EVAL_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// Scatter membership checks below this many candidates are cheaper than
-/// the spawns (unless an explicit worker count waives the threshold).
+/// Candidate sets below this many objects are filtered on the calling
+/// thread: the membership checks are cheaper than the spawns.
 const PARALLEL_EVAL_THRESHOLD: usize = 4096;
 
-/// Filters a candidate set down to the query's members. Large candidate
-/// sets are split into cardinality-balanced id-range shards
-/// ([`ObjSet::shards`]) checked on [`std::thread::scope`] workers and
-/// gathered with a bitmap union; membership is per-object, so the
-/// scattered result is identical to the sequential one.
+/// The machine's core count, resolved once per process.
+/// `available_parallelism` re-reads cgroup limits and the affinity mask on
+/// every call (≈ 11 µs), so it must stay off the per-request path: only
+/// the first evaluation of [`PARALLEL_EVAL_THRESHOLD`] or more candidates
+/// pays for it.
+#[allow(clippy::disallowed_methods)]
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Filters a candidate set down to the query's members: one shard per
+/// core once the set reaches [`PARALLEL_EVAL_THRESHOLD`], the calling
+/// thread alone below it (see [`filter_members_sharded`]).
 pub fn filter_members(db: &Database, query: &QueryClassDecl, base: &ObjSet) -> ObjSet {
-    let override_workers = EVAL_WORKERS.load(Ordering::Relaxed);
-    let workers = if override_workers > 0 {
-        override_workers
+    let shards = if base.len() >= PARALLEL_EVAL_THRESHOLD {
+        cores()
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        1
     };
-    let worth_spawning = override_workers > 0 || base.len() >= PARALLEL_EVAL_THRESHOLD;
-    if workers <= 1 || !worth_spawning {
+    filter_members_sharded(db, query, base, shards)
+}
+
+/// [`filter_members`] with the shard count chosen by the caller. With
+/// `shards <= 1` the candidates are checked in one sequential fold;
+/// otherwise the set is split into at most `shards` cardinality-balanced
+/// id ranges ([`ObjSet::shards`]), each checked on its own scoped worker
+/// thread, and the partial answers are gathered with a bitmap union.
+/// Membership is decided per object, so the result is the same set for
+/// every shard count.
+pub fn filter_members_sharded(
+    db: &Database,
+    query: &QueryClassDecl,
+    base: &ObjSet,
+    shards: usize,
+) -> ObjSet {
+    if shards <= 1 {
         return base
             .iter()
             .filter(|&obj| is_member(db, query, obj))
             .collect();
     }
-    let shards = base.shards(workers);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
+        let handles: Vec<_> = base
+            .shards(shards)
             .into_iter()
             .map(|shard| {
                 scope.spawn(move || {
@@ -327,7 +335,8 @@ pub fn eval_constraint_for(db: &Database, expr: &ConstraintExpr, this: ObjId) ->
 mod tests {
     use super::*;
     use crate::store::Database;
-    use subq_dl::{samples, PathFilter, PathStep};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use subq_dl::{samples, AttrDecl, ClassDecl, DlModel, PathFilter, PathStep};
 
     /// The hospital of the store tests extended with a male patient that
     /// satisfies every condition of QueryPatient.
@@ -555,5 +564,125 @@ mod tests {
         };
         let answers = evaluate_query(&db, &query);
         assert_eq!(answers, db.class_extent("Patient"));
+    }
+
+    /// A churn-style store (the shape `subq_workload::churn_trace`
+    /// generates, which this crate cannot depend on): six classes in a
+    /// binary isA tree under `K0`, a `link` attribute with the inverse
+    /// synonym `rev_link`, `objects` objects spread over the classes and
+    /// linked at random, and three path views per class — one step, two
+    /// steps, one inverse step, each ending in a class filter.
+    fn churn_store(objects: usize) -> Database {
+        let mut model = DlModel::new();
+        for i in 0..6usize {
+            model.classes.push(ClassDecl {
+                name: format!("K{i}"),
+                is_a: if i == 0 {
+                    vec![]
+                } else {
+                    vec![format!("K{}", (i - 1) / 2)]
+                },
+                attributes: vec![],
+                constraint: None,
+            });
+        }
+        model.attributes.push(AttrDecl {
+            name: "link".into(),
+            domain: "Object".into(),
+            range: "Object".into(),
+            inverse: Some("rev_link".into()),
+        });
+        let step = |attr: &str, filter: PathFilter| PathStep {
+            attr: attr.into(),
+            filter,
+        };
+        for i in 0..6usize {
+            let target = PathFilter::Class(format!("K{}", (i + 1) % 6));
+            for (kind, steps) in [
+                ("one", vec![step("link", target.clone())]),
+                (
+                    "two",
+                    vec![step("link", PathFilter::Any), step("link", target.clone())],
+                ),
+                ("inv", vec![step("rev_link", target)]),
+            ] {
+                model.queries.push(QueryClassDecl {
+                    name: format!("V{i}{kind}"),
+                    is_a: vec![format!("K{i}")],
+                    derived: vec![LabeledPath { label: None, steps }],
+                    where_eqs: vec![],
+                    constraint: None,
+                });
+            }
+        }
+        let mut db = Database::new(model);
+        let mut rng = StdRng::seed_from_u64(17);
+        let ids: Vec<ObjId> = (0..objects)
+            .map(|i| db.add_object(&format!("o{i}")))
+            .collect();
+        for &id in &ids {
+            db.assert_class(id, &format!("K{}", rng.gen_range(0..6usize)));
+            if rng.gen_bool(0.6) {
+                db.assert_attr(id, "link", ids[rng.gen_range(0..objects)]);
+            }
+        }
+        db
+    }
+
+    /// Scatter-gather returns the sequential answer set whatever the shard
+    /// count — fewer shards than members, more shards than members, and
+    /// no members at all.
+    #[test]
+    fn sharded_filtering_equals_the_sequential_fold_at_every_shard_count() {
+        let db = churn_store(300);
+        for view in &db.model().queries {
+            let base = initial_candidates(&db, view);
+            let expected: BTreeSet<ObjId> = base
+                .iter()
+                .filter(|&object| is_member(&db, view, object))
+                .collect();
+            assert!(
+                !expected.is_empty() && expected.len() < base.len(),
+                "{}: the path must select a proper, non-empty part of the class",
+                view.name
+            );
+            for shards in [1, 2, 3, 8, base.len() + 1] {
+                assert_eq!(
+                    filter_members_sharded(&db, view, &base, shards),
+                    expected,
+                    "{} over {shards} shards",
+                    view.name
+                );
+                assert!(
+                    filter_members_sharded(&db, view, &ObjSet::new(), shards).is_empty(),
+                    "{} over {shards} shards of an empty base",
+                    view.name
+                );
+            }
+        }
+    }
+
+    /// `filter_members` starts scattering at 4096 candidates; on either
+    /// side of that threshold it returns what the sequential fold does.
+    #[test]
+    fn automatic_sharding_agrees_with_the_sequential_fold_across_the_threshold() {
+        let mut db = churn_store(PARALLEL_EVAL_THRESHOLD - 1);
+        let view = db.model().query_class("V0two").expect("declared").clone();
+        let agrees_at = |db: &Database, members: usize| {
+            // Every object is a K0 through the isA tree.
+            let base = initial_candidates(db, &view);
+            assert_eq!(base.len(), members);
+            assert_eq!(
+                filter_members(db, &view, &base),
+                filter_members_sharded(db, &view, &base, 1),
+                "{members} candidates"
+            );
+        };
+        agrees_at(&db, PARALLEL_EVAL_THRESHOLD - 1);
+        let extra = db.add_object("extra");
+        let first = db.object("o0").expect("exists");
+        db.assert_class(extra, "K0");
+        db.assert_attr(extra, "link", first);
+        agrees_at(&db, PARALLEL_EVAL_THRESHOLD);
     }
 }

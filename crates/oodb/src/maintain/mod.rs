@@ -28,4 +28,4 @@ pub mod propagate;
 
 pub use delta::{Delta, DeltaLog};
 pub use depindex::{DependencyIndex, ViewDeps};
-pub use propagate::{refresh_views, routes_nothing, set_maintenance_workers, MaintenanceStats};
+pub use propagate::{refresh_views, routes_nothing, MaintenanceStats};

@@ -49,46 +49,29 @@
 //! quantified constraint can flip the membership of objects arbitrarily
 //! far from the delta.
 //!
-//! # Parallel propagation
+//! # One pass, one thread
 //!
 //! Candidate re-checks only ever consult a view's Hasse *ancestors*
-//! (pruning) or its Σ-equivalence representative, so views in different
-//! weakly-connected components of the lattice are completely independent.
-//! The propagator groups the affected views by component and, when the
-//! routed work is large enough to amortize a spawn, refreshes the
-//! components on [`std::thread::scope`] workers — views inside one
-//! component (one lattice chain) stay in topological order on one worker,
-//! so top-down pruning still fires; one worker's counters are summed into
-//! the catalog's after the join, keeping [`MaintenanceStats`]
-//! deterministic. The single writer then publishes the refreshed state as
-//! one atomic snapshot swap (see
+//! (pruning) or its Σ-equivalence representative, and both precede the
+//! view in the lattice order, so a single walk over that order on the
+//! writer's thread refreshes the whole catalog. Independent lattice
+//! components could be handed to worker threads, but spawning costs more
+//! than the 4–8-op transactions a server commits have to share out, and a
+//! single-rooted catalog has nothing to share (table in CHANGES.md,
+//! PR 17). The writer then publishes the refreshed state as one atomic
+//! snapshot swap (see
 //! [`OptimizedDatabase::commit`](crate::OptimizedDatabase::commit)).
 //!
 //! [`refresh_full`]: crate::views::ViewCatalog::refresh_full
 
 use super::delta::Delta;
 use super::depindex::{DependencyIndex, ViewDeps};
-use crate::eval::{initial_candidates, is_member};
+use crate::eval::{filter_members, initial_candidates, is_member};
 use crate::store::{Database, ObjId};
 use crate::views::MaterializedView;
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Process-wide override of the maintenance worker count: 0 = auto
-/// (`std::thread::available_parallelism`).
-static MAINTENANCE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Caps (or forces) the number of worker threads parallel view
-/// maintenance may use, process-wide. `None` restores the default —
-/// [`std::thread::available_parallelism`]. Setting an explicit count also
-/// waives the minimum-work threshold (an operator who configures workers
-/// wants them used), which is how the equivalence suites exercise the
-/// parallel path deterministically on any machine.
-pub fn set_maintenance_workers(workers: Option<usize>) {
-    MAINTENANCE_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
 
 /// Counters of the incremental maintainer (cumulative per catalog).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,23 +95,6 @@ pub struct MaintenanceStats {
     /// [`ViewCatalog::refresh`](crate::views::ViewCatalog::refresh)).
     pub empty_refreshes: u64,
 }
-
-impl MaintenanceStats {
-    /// Adds a worker's counters into this one (order-independent, so the
-    /// cumulative stats stay deterministic under parallel propagation).
-    fn absorb(&mut self, other: MaintenanceStats) {
-        self.deltas_applied += other.deltas_applied;
-        self.candidates_examined += other.candidates_examined;
-        self.memberships_evaluated += other.memberships_evaluated;
-        self.lattice_prunes += other.lattice_prunes;
-        self.full_reevaluations += other.full_reevaluations;
-        self.empty_refreshes += other.empty_refreshes;
-    }
-}
-
-/// One view handed to a refresh worker: catalog index, exclusive borrow,
-/// and the plan computed for it by the routing scan.
-type ViewTask<'a> = (usize, &'a mut MaterializedView, Plan);
 
 /// How one view is brought up to date by the current pass.
 enum Plan {
@@ -223,149 +189,23 @@ pub fn refresh_views(
 
     // Refresh in lattice order: representatives root-down (so parent
     // extensions are current when a child consults them for pruning),
-    // then equivalence peers, then unclassified views — grouped by
-    // weakly-connected lattice component. Components never read each
-    // other's extensions, so they refresh independently: on workers when
-    // the routed work amortizes the spawns, inline otherwise. Either way
-    // each component runs the identical `refresh_component` code, so the
-    // results (and the summed counters) do not depend on the path taken.
-    let order = lattice_order(views);
-    let comp = components(views);
-    let mut group_of: FxHashMap<usize, usize> = FxHashMap::default();
-    let mut group_indices: Vec<Vec<usize>> = Vec::new();
-    for &i in &order {
-        let next = group_indices.len();
-        let g = *group_of.entry(comp[i]).or_insert(next);
-        if g == group_indices.len() {
-            group_indices.push(Vec::new());
-        }
-        group_indices[g].push(i);
-    }
-
-    // Hand each group its disjoint `&mut` views (with the group's plans),
-    // via the slice's own iterator — no unsafe splitting.
-    let mut slots: Vec<Option<ViewTask<'_>>> = views
-        .iter_mut()
-        .zip(plans)
-        .enumerate()
-        .map(|(i, (view, plan))| Some((i, view, plan)))
-        .collect();
-    let mut groups: Vec<Vec<ViewTask<'_>>> = group_indices
-        .iter()
-        .map(|group| {
-            group
-                .iter()
-                .map(|&i| slots[i].take().expect("every view is in exactly one group"))
-                .collect()
-        })
-        .collect();
-
-    let active_groups = groups.iter().filter(|g| group_work(g) > 0).count();
-    let total_work: usize = groups.iter().map(|g| group_work(g)).sum();
-    let override_workers = MAINTENANCE_WORKERS.load(Ordering::Relaxed);
-    let workers = if override_workers > 0 {
-        override_workers
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let worth_spawning = override_workers > 0 || total_work >= PARALLEL_WORK_THRESHOLD;
-    if workers > 1 && active_groups >= 2 && worth_spawning {
-        let buckets: Vec<Vec<Vec<ViewTask<'_>>>> = {
-            let mut buckets: Vec<Vec<_>> = (0..workers.min(active_groups))
-                .map(|_| Vec::new())
-                .collect();
-            // Largest groups first, round-robin, for rough balance.
-            groups.sort_by_key(|g| std::cmp::Reverse(group_work(g)));
-            for (at, group) in groups.into_iter().enumerate() {
-                let slot = at % buckets.len();
-                buckets[slot].push(group);
-            }
-            buckets
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .filter(|bucket| !bucket.is_empty())
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut local = MaintenanceStats::default();
-                        for mut group in bucket {
-                            refresh_component(db, &mut group, &mut local, now);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                stats.absorb(handle.join().expect("maintenance worker panicked"));
-            }
-        });
-    } else {
-        for group in &mut groups {
-            refresh_component(db, group, stats, now);
-        }
-    }
-}
-
-/// Spawn workers only when the routed candidate work is at least this
-/// many objects; below it the propagation is cheaper than the spawns.
-const PARALLEL_WORK_THRESHOLD: usize = 64;
-
-/// A rough work estimate for one component: candidates to re-check, plus
-/// the current extension size for full re-evaluations.
-fn group_work(group: &[ViewTask<'_>]) -> usize {
-    group
-        .iter()
-        .map(|(_, view, plan)| match plan {
-            Plan::Fresh => 0,
-            Plan::Full => view.extent.len() + 16,
-            Plan::Candidates(candidates) => candidates.len(),
-        })
-        .sum()
-}
-
-/// Refreshes the views of one lattice component, in topological order
-/// (the order `entries` arrives in): full re-evaluations, candidate
-/// re-checks pruned through the (already refreshed, same-component) Hasse
-/// parents, and Σ-equivalence peers copying their representative's
-/// verdicts.
-fn refresh_component(
-    db: &Database,
-    entries: &mut [ViewTask<'_>],
-    stats: &mut MaintenanceStats,
-    now: u64,
-) {
-    let position: FxHashMap<usize, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(pos, (i, _, _))| (*i, pos))
-        .collect();
-    for at in 0..entries.len() {
-        let (done, rest) = entries.split_at_mut(at);
-        let (_, view, plan) = &mut rest[0];
-        let extent_of = |done: &[ViewTask<'_>], i: usize| Arc::clone(&done[position[&i]].1.extent);
-        match std::mem::replace(plan, Plan::Fresh) {
+    // then equivalence peers (after their representatives), then
+    // unclassified views.
+    for i in lattice_order(views) {
+        match std::mem::replace(&mut plans[i], Plan::Fresh) {
             Plan::Fresh => {}
             Plan::Full => {
                 stats.full_reevaluations += 1;
-                let candidates = initial_candidates(db, &view.definition);
+                let candidates = initial_candidates(db, &views[i].definition);
                 stats.candidates_examined += candidates.len() as u64;
                 stats.memberships_evaluated += candidates.len() as u64;
-                // Large candidate sets scatter across id-range shards
-                // inside `filter_members` and gather by bitmap union.
-                view.extent = Arc::new(crate::eval::filter_members(
-                    db,
-                    &view.definition,
-                    &candidates,
-                ));
+                views[i].extent = Arc::new(filter_members(db, &views[i].definition, &candidates));
             }
             Plan::Candidates(candidates) => {
                 crate::metrics::metrics()
                     .maintenance_candidates
                     .record(candidates.len() as u64);
-                if let Some(rep) = view.equiv {
+                if let Some(rep) = views[i].equiv {
                     // Σ-equivalent peers share the representative's
                     // extension in every state, so the representative's
                     // (already refreshed) verdict decides each candidate
@@ -373,17 +213,18 @@ fn refresh_component(
                     // peer's extension when nothing actually changed.
                     stats.candidates_examined += candidates.len() as u64;
                     stats.lattice_prunes += candidates.len() as u64;
-                    let rep_extent = extent_of(done, rep);
                     for object in candidates {
-                        apply_verdict(view, object, rep_extent.contains(&object));
+                        let member = views[rep].extent.contains(&object);
+                        apply_verdict(&mut views[i], object, member);
                     }
                 } else {
                     for object in candidates {
                         stats.candidates_examined += 1;
+                        let view = &views[i];
                         let pruned = view
                             .parents
                             .iter()
-                            .any(|&p| !done[position[&p]].1.extent.contains(&object));
+                            .any(|&p| !views[p].extent.contains(&object));
                         let member = if pruned {
                             stats.lattice_prunes += 1;
                             false
@@ -391,13 +232,13 @@ fn refresh_component(
                             stats.memberships_evaluated += 1;
                             is_member(db, &view.definition, object)
                         };
-                        apply_verdict(view, object, member);
+                        apply_verdict(&mut views[i], object, member);
                     }
                 }
             }
         }
-        view.fresh_as_of = now;
-        view.force_refresh = false;
+        views[i].fresh_as_of = now;
+        views[i].force_refresh = false;
     }
 }
 
@@ -412,40 +253,6 @@ fn apply_verdict(view: &mut MaterializedView, object: ObjId, member: bool) {
             extent.remove(&object);
         }
     }
-}
-
-/// The weakly-connected component label of every view: union-find over
-/// the Hasse child edges and the equivalence links — the only cross-view
-/// edges a refresh ever reads through.
-fn components(views: &[MaterializedView]) -> Vec<usize> {
-    let n = views.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let union = |parent: &mut [usize], a: usize, b: usize| {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    };
-    for (i, view) in views.iter().enumerate() {
-        for &c in &view.children {
-            if c < n {
-                union(&mut parent, i, c);
-            }
-        }
-        if let Some(rep) = view.equiv {
-            if rep < n {
-                union(&mut parent, i, rep);
-            }
-        }
-    }
-    (0..n).map(|i| find(&mut parent, i)).collect()
 }
 
 /// The views a delta can possibly affect: the dependency-index lookup

@@ -289,10 +289,9 @@ impl OptimizedDatabase {
 
     /// Mutates the database as one transaction
     /// ([`OptimizedDatabase::update`]), propagates the deltas to the
-    /// materialized views (in parallel across independent lattice
-    /// components), and publishes the refreshed state to all readers with
-    /// one atomic snapshot swap. The write path of the snapshot-isolated
-    /// serving loop.
+    /// materialized views, and publishes the refreshed state to all
+    /// readers with one atomic snapshot swap. The write path of the
+    /// snapshot-isolated serving loop.
     pub fn commit<R>(&mut self, mutate: impl FnOnce(&mut Database) -> R) -> R {
         let _span = crate::metrics::metrics().commit_publish_ns.span();
         let result = self.update(mutate);

@@ -8,8 +8,8 @@
 //! split is:
 //!
 //! * the **writer** mutates its state in place, brings the materialized
-//!   views up to date (incrementally and, across independent lattice
-//!   components, in parallel — see [`crate::maintain::propagate`]), and
+//!   views up to date (incrementally, in one pass over the lattice
+//!   order — see [`crate::maintain::propagate`]), and
 //!   then *publishes* the result as one [`Snapshot`] with a single atomic
 //!   swap ([`OptimizedDatabase::publish_snapshot`]);
 //! * any number of **readers** ([`Reader`]) hold an `Arc` of a published

@@ -185,6 +185,8 @@ impl Server {
         // first: it flips the recording flag the published cell carries.
         db.set_advisor_config(config.advisor.clone());
         db.publish_snapshot();
+        // Resolved once per server start, never per request.
+        #[allow(clippy::disallowed_methods)]
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {

@@ -12,11 +12,6 @@
 //!   evaluation of that query over the snapshot's own database state, and
 //!   every published view extension equals the scratch evaluation of its
 //!   definition at that state.
-//! * **Parallel maintenance ≡ `refresh_full`.** Checked in its own
-//!   process by `tests/parallel_maintenance.rs` (the worker override it
-//!   forces is process-wide, so it must not share a test binary with
-//!   these suites); the single-threaded half of the guarantee is
-//!   `incremental_equivalence.rs`.
 //!
 //! The writer waits for every reader to adopt each published snapshot
 //! before committing the next transaction, so each trace

@@ -112,7 +112,9 @@ fn check_trace(seed: u64, params: ChurnParams, label: &str) -> usize {
     checked
 }
 
-/// 200 traces: every shape × two catalog configurations × 20 seeds.
+/// 220 traces: every shape × two catalog configurations × 20 seeds, plus
+/// 20 seeds of a Diamond catalog whose twelve views wrap around six
+/// classes, so Σ-equivalent peers and path views share one lattice.
 #[test]
 fn incremental_maintenance_is_equivalent_on_200_churn_traces() {
     let mut traces = 0usize;
@@ -162,9 +164,26 @@ fn incremental_maintenance_is_equivalent_on_200_churn_traces() {
             }
         }
     }
-    assert_eq!(traces, 200);
+    for seed in 0..20u64 {
+        transactions += check_trace(
+            seed,
+            ChurnParams {
+                shape: FamilyShape::Diamond,
+                classes: 6,
+                views: 12,
+                path_view_percent: 30,
+                objects: 40,
+                transactions: 6,
+                ops_per_transaction: 5,
+                retract_percent: 40,
+            },
+            &format!("diamond/wraparound/seed={seed}"),
+        );
+        traces += 1;
+    }
+    assert_eq!(traces, 220);
     assert!(
-        transactions >= 200,
+        transactions >= 220,
         "only {transactions} transactions across all traces"
     );
 }
