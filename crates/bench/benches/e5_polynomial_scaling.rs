@@ -3,8 +3,8 @@
 //! and the number of individuals stays below `M · N`.
 //!
 //! Four deterministic families (see `subq-workload::scaling`) each grow one
-//! size parameter; the bench measures wall-clock time per instance and the
-//! companion binary `e5_scaling_table` prints the individual counts.
+//! size parameter; the bench measures wall-clock time per instance and
+//! `subq-bench table e5` prints the individual counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subq::calculus::SubsumptionChecker;

@@ -5,8 +5,8 @@
 //! Measured quantities: the filler demand of qualified-existential schemas,
 //! the expansion size for inverse-attribute schemas, the valuation count
 //! for disjunctive (propositional) subsumption, and tableau satisfiability
-//! on pigeonhole instances. The companion binary `e6_blowup_table` prints
-//! the counter table.
+//! on pigeonhole instances. `subq-bench table e6` prints the counter
+//! table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subq::concepts::Vocabulary;

@@ -4,8 +4,8 @@
 //!
 //! Both deciders return the same answers (asserted); the bench measures
 //! their running times on seeded random pairs and on pairs that are
-//! subsumed by construction. The companion binary `e7_agreement_table`
-//! prints the agreement/hit-rate table.
+//! subsumed by construction. `subq-bench table e7` prints the
+//! agreement/hit-rate table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subq::calculus::SubsumptionChecker;

@@ -2,8 +2,8 @@
 //! query by filtering a subsuming materialized view versus evaluating it
 //! from scratch, across database sizes and view selectivities.
 //!
-//! The companion binary `e8_optimizer_table` prints the candidate-count
-//! table (the size-independent measure of the search-space reduction).
+//! `subq-bench table e8` prints the candidate-count table (the
+//! size-independent measure of the search-space reduction).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subq::dl::samples;

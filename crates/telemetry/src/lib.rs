@@ -21,7 +21,7 @@
 //!   records the elapsed nanoseconds on drop. When telemetry is disabled
 //!   ([`set_enabled`]) the timer skips even the clock reads, which is
 //!   what makes the instrumented hot paths measurable against a disabled
-//!   baseline (the `perf_smoke` overhead gate).
+//!   baseline (the telemetry-overhead gate of `subq-bench check`).
 //! * [`Registry`] — named registration of the above. Handles are `Arc`s:
 //!   registration is a one-time lock, after which the holder touches only
 //!   its own atomics. [`Registry::render`] emits Prometheus-style text
