@@ -2,17 +2,23 @@
 //!
 //! [`SubsumptionChecker`] wraps the completion engine into the decision
 //! procedure of Theorem 4.7: `C ⊑_Σ D` iff the completed facts contain
-//! `o : D` or a clash. It normalizes path agreements first, runs the
-//! completion, and reports the verdict together with statistics and (on
-//! request) the full derivation trace.
+//! `o : D` or a clash. There are two ways to ask it:
 //!
-//! For the optimizer's one-query-against-N-views workload, the check
-//! splits into two phases: [`SubsumptionChecker::saturate`] computes the
-//! fact-side closure of the query once (it depends only on the schema and
-//! the query), and [`SaturatedQuery::probe`] forks that closure per view
-//! and runs only the goal-side rules. [`SubsumptionCache`] composes both
-//! levels: a repeated `(query, view)` pair skips the probe entirely, and a
-//! *fresh* pair for an already-seen query skips the fact saturation.
+//! * **uncached** — [`SubsumptionChecker::subsumes`],
+//!   [`SubsumptionChecker::check`] and
+//!   [`SubsumptionChecker::check_with_trace`] normalize path agreements,
+//!   run one full completion, and report the verdict together with
+//!   statistics and (on request) the full derivation trace;
+//! * **cached** — [`SubsumptionChecker::probe`], the one path the query
+//!   optimizer asks through. It splits the check into two phases: the
+//!   fact-side closure of the query depends only on the schema and the
+//!   query and is saturated once ([`SaturatedFacts`]); each view forks that
+//!   closure and runs only the goal-side rules. A caller's private
+//!   [`SubsumptionCache`] keeps normalizations, verdicts and the retained
+//!   closures, and a [`SharedSubsumptionMemo`] shares verdicts between the
+//!   callers of one schema epoch: a repeated `(query, view)` pair skips the
+//!   probe entirely, and a *fresh* pair for an already-saturated query
+//!   skips the fact saturation.
 
 use crate::engine::{Completion, CompletionStats, SaturatedFacts};
 use crate::trace::DerivationTrace;
@@ -44,7 +50,7 @@ impl SubsumptionVerdict {
     }
 }
 
-/// The result of a subsumption check.
+/// The result of an uncached subsumption check.
 #[derive(Clone, Debug)]
 pub struct SubsumptionOutcome {
     /// The verdict.
@@ -72,17 +78,21 @@ impl SubsumptionOutcome {
     }
 }
 
-/// A memo table for repeated subsumption checks over one arena and schema.
+/// `(normalized query, normalized view) → verdict`.
+type VerdictMap = FxHashMap<(ConceptId, ConceptId), SubsumptionVerdict>;
+
+/// A caller's private memo tables for [`SubsumptionChecker::probe`] over
+/// one arena and schema.
 ///
 /// Hash-consing makes `ConceptId` equality coincide with structural
-/// equality, so the outcome of a check is fully determined by the pair of
+/// equality, so the verdict of a check is fully determined by the pair of
 /// *normalized* concept identifiers (for a fixed schema). The cache
 /// exploits that twice:
 ///
 /// * `concept → normalized concept`, so a query probed against N views
 ///   pays for one normalization pass instead of N, and a view probed by
 ///   every incoming query is normalized once ever;
-/// * `(normalized query, normalized view) → outcome`, so the whole
+/// * `(normalized query, normalized view) → verdict`, so the whole
 ///   saturation is skipped on a repeat probe — the usage pattern of the
 ///   query optimizer, which tests every incoming query against every
 ///   materialized view.
@@ -90,36 +100,29 @@ impl SubsumptionOutcome {
 /// A third level keeps the fork-able fact closures: `normalized query →
 /// SaturatedFacts`, capped at
 /// [`SubsumptionCache::SATURATED_QUERIES_CAP`] entries with
-/// **least-recently-used** eviction (every reuse of a closure moves it to
-/// the back of the eviction queue), so a *fresh* `(query, view)` pair pays
-/// only a goal-side probe when the query was saturated before (the hot
-/// path of `plan()` when a view is added, or of the very first plan
-/// against N views: one saturation, N probes) — and hot query shapes keep
-/// their closures even when a churny stream of one-off queries rolls
-/// through the cache.
+/// **least-recently-used** eviction, so a *fresh* `(query, view)` pair
+/// pays only a goal-side probe when the query was saturated before (the
+/// first plan against N views: one saturation, N probes) — and hot query
+/// shapes keep their closures even when a churny stream of one-off queries
+/// rolls through the cache.
 ///
-/// A cache is only meaningful for the `(TermArena, Schema)` pair it was
-/// populated with; use one cache per optimized database (as
-/// `subq_oodb::OptimizedDatabase` does) and discard it if the schema
-/// changes.
+/// Only the closure level has a cap of its own; the other two grow with
+/// the concepts interned in the arena they key into. Their bound is the
+/// owner's: a cache is only meaningful for the `(TermArena, Schema)` pair
+/// it was populated with, so whoever rolls the arena back (a
+/// `subq_oodb::Reader` past its private-concept budget) or re-translates
+/// the schema clears the cache with it.
 #[derive(Clone, Debug, Default)]
 pub struct SubsumptionCache {
     normalized: FxHashMap<ConceptId, ConceptId>,
-    outcomes: FxHashMap<(ConceptId, ConceptId), CachedCheck>,
+    outcomes: VerdictMap,
     saturated: FxHashMap<ConceptId, SaturatedFacts>,
     /// Recency queue over `saturated`: front = least recently used.
     saturated_order: VecDeque<ConceptId>,
     hits: u64,
     misses: u64,
     fact_saturations: u64,
-    probes: u64,
     saturation_evictions: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct CachedCheck {
-    verdict: SubsumptionVerdict,
-    stats: CompletionStats,
 }
 
 impl SubsumptionCache {
@@ -128,12 +131,12 @@ impl SubsumptionCache {
         SubsumptionCache::default()
     }
 
-    /// Number of cached `(query, view)` outcomes.
+    /// Number of cached `(query, view)` verdicts.
     pub fn len(&self) -> usize {
         self.outcomes.len()
     }
 
-    /// Whether no outcome has been cached yet.
+    /// Whether no verdict has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.outcomes.is_empty()
     }
@@ -141,7 +144,7 @@ impl SubsumptionCache {
     /// Most saturated fact closures retained at once; the **least
     /// recently used** is evicted first, so hot query shapes survive
     /// churny streams of one-off queries. Repeat `(query, view)` pairs
-    /// are unaffected (they hit the outcome level), so the cap only
+    /// are unaffected (they hit the verdict level), so the cap only
     /// bounds memory for streams of many *distinct* queries.
     pub const SATURATED_QUERIES_CAP: usize = 64;
 
@@ -154,7 +157,7 @@ impl SubsumptionCache {
     /// its lifetime. Every miss is one probe; saturations count only the
     /// fact closures that could not be reused.
     pub fn saturation_stats(&self) -> (u64, u64) {
-        (self.fact_saturations, self.probes)
+        (self.fact_saturations, self.misses)
     }
 
     /// Number of saturated queries currently retained.
@@ -169,7 +172,7 @@ impl SubsumptionCache {
         self.saturation_evictions
     }
 
-    /// Drops all cached outcomes, normalizations and saturated queries
+    /// Drops all cached verdicts, normalizations and saturated queries
     /// (keeps the counters).
     pub fn clear(&mut self) {
         self.normalized.clear();
@@ -191,27 +194,35 @@ impl SubsumptionCache {
         normalized
     }
 
-    /// Retains a saturated fact closure, evicting the least recently used
-    /// entry once the cap is reached. The key must not be present yet.
-    fn store_saturated(&mut self, query: ConceptId, base: SaturatedFacts) {
-        if self.saturated.len() >= Self::SATURATED_QUERIES_CAP {
-            if let Some(coldest) = self.saturated_order.pop_front() {
-                self.saturated.remove(&coldest);
-                self.saturation_evictions += 1;
-                crate::metrics::metrics().saturation_evictions.inc();
+    /// The retained fact closure of `query`: touched in the recency queue
+    /// when present (O(cap), and the cap is small), otherwise saturated
+    /// and retained, evicting the least recently used entry once the cap
+    /// is reached.
+    fn saturated(
+        &mut self,
+        arena: &mut TermArena,
+        schema: &Schema,
+        query: ConceptId,
+    ) -> &SaturatedFacts {
+        if self.saturated.contains_key(&query) {
+            if let Some(pos) = self.saturated_order.iter().position(|&q| q == query) {
+                self.saturated_order.remove(pos);
             }
+        } else {
+            if self.saturated.len() >= Self::SATURATED_QUERIES_CAP {
+                if let Some(coldest) = self.saturated_order.pop_front() {
+                    self.saturated.remove(&coldest);
+                    self.saturation_evictions += 1;
+                    crate::metrics::metrics().saturation_evictions.inc();
+                }
+            }
+            let base = SaturatedFacts::saturate(arena, schema, query);
+            self.saturated.insert(query, base);
+            self.fact_saturations += 1;
+            crate::metrics::metrics().fact_saturations.inc();
         }
         self.saturated_order.push_back(query);
-        self.saturated.insert(query, base);
-    }
-
-    /// Marks a retained closure as just used: moves it to the back of the
-    /// eviction queue (O(cap), and the cap is small).
-    fn touch_saturated(&mut self, query: ConceptId) {
-        if let Some(pos) = self.saturated_order.iter().position(|&q| q == query) {
-            self.saturated_order.remove(pos);
-            self.saturated_order.push_back(query);
-        }
+        &self.saturated[&query]
     }
 }
 
@@ -219,10 +230,9 @@ impl SubsumptionCache {
 const MEMO_SHARDS: usize = 16;
 
 /// A thread-safe subsumption memo shared by concurrent readers of one
-/// optimized database: the `(normalized query, normalized view) → verdict`
-/// level of a [`SubsumptionCache`], sharded over [`MEMO_SHARDS`] RwLocks
-/// so readers on different cores rarely contend, with atomic hit/miss
-/// counters.
+/// optimized database: the verdict level of a [`SubsumptionCache`],
+/// sharded over [`MEMO_SHARDS`] RwLocks so readers on different cores
+/// rarely contend, with atomic hit/miss counters.
 ///
 /// # Which concept ids may enter the memo
 ///
@@ -231,14 +241,20 @@ const MEMO_SHARDS: usize = 16;
 /// meaningful across threads only while it lies **below the published
 /// arena's concept count** (the arena is append-only and hash-consed, so
 /// the shared prefix denotes the same terms in every clone). Callers pass
-/// that bound to [`SubsumptionChecker::check_shared`]; pairs with a
-/// locally interned id stay in the caller's private cache. A memo is only
+/// that bound to [`SubsumptionChecker::probe`]; pairs with a locally
+/// interned id stay in the caller's private cache.
+///
+/// # Size
+///
+/// There is no cap: only pairs below the published concept count are
+/// admitted, so one memo holds at most (published concepts)² verdicts,
+/// and it grows only when the single writer interns. A memo is only
 /// meaningful for one schema epoch — discard it (as
 /// `subq_oodb::OptimizedDatabase` does) whenever the schema is
 /// re-translated.
 #[derive(Debug)]
 pub struct SharedSubsumptionMemo {
-    shards: [RwLock<FxHashMap<(ConceptId, ConceptId), CachedCheck>>; MEMO_SHARDS],
+    shards: [RwLock<VerdictMap>; MEMO_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -259,39 +275,33 @@ impl SharedSubsumptionMemo {
         SharedSubsumptionMemo::default()
     }
 
-    fn shard(
-        &self,
-        key: (ConceptId, ConceptId),
-    ) -> &RwLock<FxHashMap<(ConceptId, ConceptId), CachedCheck>> {
+    fn shard(&self, key: (ConceptId, ConceptId)) -> &RwLock<VerdictMap> {
         let mut hasher = FxHasher::default();
         hasher.write_u64(((key.0.index() as u64) << 32) | key.1.index() as u64);
         &self.shards[(hasher.finish() as usize) % MEMO_SHARDS]
     }
 
-    fn get(&self, key: (ConceptId, ConceptId)) -> Option<CachedCheck> {
+    fn get(&self, key: (ConceptId, ConceptId)) -> Option<SubsumptionVerdict> {
         let found = self
             .shard(key)
             .read()
             .expect("shared memo shard poisoned")
             .get(&key)
             .copied();
-        match found {
-            Some(check) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(check)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    fn insert(&self, key: (ConceptId, ConceptId), check: CachedCheck) {
+    fn insert(&self, key: (ConceptId, ConceptId), verdict: SubsumptionVerdict) {
         self.shard(key)
             .write()
             .expect("shared memo shard poisoned")
-            .insert(key, check);
+            .insert(key, verdict);
     }
 
     /// `(hits, misses)` of the shared level over its lifetime.
@@ -316,72 +326,10 @@ impl SharedSubsumptionMemo {
     }
 }
 
-/// A query whose fact side has been saturated once, ready to be probed
-/// against any number of views.
-///
-/// Obtained from [`SubsumptionChecker::saturate`]. Each
-/// [`SaturatedQuery::probe`] forks the snapshot and runs only the
-/// goal-side rules, so classifying a query against N views costs one fact
-/// saturation plus N cheap probes. Forks are independent: probes may run
-/// in any order and the same view may be probed repeatedly with identical
-/// outcomes.
-pub struct SaturatedQuery<'a> {
-    schema: &'a Schema,
-    base: SaturatedFacts,
-}
-
-impl<'a> SaturatedQuery<'a> {
-    /// The normalized query concept the facts were saturated from.
-    pub fn query(&self) -> ConceptId {
-        self.base.query()
-    }
-
-    /// The underlying forkable snapshot.
-    pub fn base(&self) -> &SaturatedFacts {
-        &self.base
-    }
-
-    /// Surrenders the snapshot (e.g. to store it in a cache).
-    pub fn into_base(self) -> SaturatedFacts {
-        self.base
-    }
-
-    /// Decides `query ⊑_Σ view` by forking the saturated facts and
-    /// running the goal-side probe.
-    pub fn probe(&self, arena: &mut TermArena, view: ConceptId) -> SubsumptionOutcome {
-        let normalized_view = normalize_concept(arena, view);
-        probe_saturated(arena, self.schema, &self.base, normalized_view)
-    }
-
-    /// [`SaturatedQuery::probe`], reduced to the verdict.
-    pub fn subsumed_by(&self, arena: &mut TermArena, view: ConceptId) -> bool {
-        self.probe(arena, view).subsumed()
-    }
-}
-
-/// Runs the goal-side probe of `view` over a forked fact closure. The
-/// view must already be normalized.
-fn probe_saturated(
-    arena: &mut TermArena,
-    schema: &Schema,
-    base: &SaturatedFacts,
-    normalized_view: ConceptId,
-) -> SubsumptionOutcome {
-    let mut completion = Completion::resume(arena, schema, base, normalized_view);
-    let stats = completion.run();
-    let verdict = completion_verdict(&completion);
-    SubsumptionOutcome {
-        verdict,
-        stats,
-        normalized_query: base.query(),
-        normalized_view,
-        trace: None,
-    }
-}
-
 /// A clash means the query is Σ-unsatisfiable and hence subsumed by every
-/// concept; check it first so `via_clash` doubles as an unsatisfiability
-/// signal even when the view fact also happens to be derivable.
+/// concept; check it first so `SubsumedByClash` doubles as an
+/// unsatisfiability signal even when the view fact also happens to be
+/// derivable.
 fn completion_verdict(completion: &Completion<'_>) -> SubsumptionVerdict {
     if completion.find_clash().is_some() {
         SubsumptionVerdict::SubsumedByClash
@@ -441,223 +389,59 @@ impl<'a> SubsumptionChecker<'a> {
         self.run(arena, sub, sup, true)
     }
 
-    /// Whether a concept is Σ-unsatisfiable, detected through a clash in
-    /// its completion. (In SL/QL unsatisfiability can only arise from
-    /// singleton conflicts; see Section 4.4 for why richer schema languages
-    /// change this.)
-    pub fn is_unsatisfiable(&self, arena: &mut TermArena, concept: ConceptId) -> bool {
-        let top = arena.top();
-        self.run(arena, concept, top, false).via_clash()
-    }
-
-    /// Checks two concepts for Σ-equivalence (mutual subsumption).
-    pub fn equivalent(&self, arena: &mut TermArena, a: ConceptId, b: ConceptId) -> bool {
-        self.subsumes(arena, a, b) && self.subsumes(arena, b, a)
-    }
-
-    /// Saturates the fact side of `query` once; the result can be probed
-    /// against any number of views without repeating that work.
-    pub fn saturate(&self, arena: &mut TermArena, query: ConceptId) -> SaturatedQuery<'a> {
-        let normalized_query = normalize_concept(arena, query);
-        SaturatedQuery {
-            schema: self.schema,
-            base: SaturatedFacts::saturate(arena, self.schema, normalized_query),
-        }
-    }
-
-    /// Decides `sub ⊑_Σ sup` through a [`SubsumptionCache`]: the
-    /// normalizations of both concepts are memoized, a repeated
-    /// `(query, view)` probe skips the completion entirely, and a fresh
-    /// pair forks the query's cached fact closure (saturating it first if
-    /// this is the query's first miss) and runs only the goal-side probe.
-    pub fn check_cached(
+    /// Decides `sub ⊑_Σ sup` through the caller's private `cache` and the
+    /// `shared` memo — the one cached path. The normalizations of both
+    /// concepts are memoized. The pair's verdict is looked up in `cache`,
+    /// then in `shared` (a shared hit counts as a private hit too, so
+    /// per-caller counters keep their meaning). A full miss forks the
+    /// query's retained fact closure (saturating it first if absent), runs
+    /// the goal-side probe, and memoizes the verdict in `cache` — and in
+    /// `shared` **only** when both normalized ids lie below
+    /// `shared_bound`, the published arena's concept count (ids at or
+    /// above it were interned locally by this caller and mean nothing to
+    /// other arenas). Pass `usize::MAX` when the arena *is* the published
+    /// one (the single writer), and an empty memo with bound 0 when there
+    /// is no shared tier.
+    pub fn probe(
         &self,
         arena: &mut TermArena,
         sub: ConceptId,
         sup: ConceptId,
         cache: &mut SubsumptionCache,
-    ) -> SubsumptionOutcome {
-        let normalized_query = cache.normalize(arena, sub);
-        let normalized_view = cache.normalize(arena, sup);
-        if let Some(cached) = cache.outcomes.get(&(normalized_query, normalized_view)) {
-            cache.hits += 1;
-            crate::metrics::metrics().cache_hits.inc();
-            return SubsumptionOutcome {
-                verdict: cached.verdict,
-                stats: cached.stats,
-                normalized_query,
-                normalized_view,
-                trace: None,
-            };
-        }
-        self.saturate_and_probe(arena, cache, normalized_query, normalized_view)
-    }
-
-    /// The miss path of the cached checks: fork the query's retained fact
-    /// closure (saturating and retaining it first if absent, touching its
-    /// LRU slot otherwise), run the goal-side probe, and memoize the
-    /// outcome.
-    fn saturate_and_probe(
-        &self,
-        arena: &mut TermArena,
-        cache: &mut SubsumptionCache,
-        normalized_query: ConceptId,
-        normalized_view: ConceptId,
-    ) -> SubsumptionOutcome {
+        shared: &SharedSubsumptionMemo,
+        shared_bound: usize,
+    ) -> SubsumptionVerdict {
         let metrics = crate::metrics::metrics();
+        let key = (cache.normalize(arena, sub), cache.normalize(arena, sup));
+        let shareable = key.0.index() < shared_bound && key.1.index() < shared_bound;
+        let known = cache.outcomes.get(&key).copied().or_else(|| {
+            let verdict = shareable.then(|| shared.get(key)).flatten()?;
+            cache.outcomes.insert(key, verdict);
+            Some(verdict)
+        });
+        if let Some(verdict) = known {
+            cache.hits += 1;
+            metrics.cache_hits.inc();
+            return verdict;
+        }
         cache.misses += 1;
         metrics.cache_misses.inc();
-        if cache.saturated.contains_key(&normalized_query) {
-            cache.touch_saturated(normalized_query);
-        } else {
-            let base = SaturatedFacts::saturate(arena, self.schema, normalized_query);
-            cache.store_saturated(normalized_query, base);
-            cache.fact_saturations += 1;
-            metrics.fact_saturations.inc();
-        }
-        cache.probes += 1;
         metrics.probes.inc();
-        let base = cache
-            .saturated
-            .get(&normalized_query)
-            .expect("saturated just above");
-        let outcome = probe_saturated(arena, self.schema, base, normalized_view);
+        let base = cache.saturated(arena, self.schema, key.0);
+        let mut completion = Completion::resume(arena, self.schema, base, key.1);
+        let stats = completion.run();
+        let verdict = completion_verdict(&completion);
         metrics
             .rule_applications
-            .add(outcome.stats.rule_applications as u64);
+            .add(stats.rule_applications as u64);
         metrics
             .constraints_examined
-            .add(outcome.stats.constraints_examined as u64);
-        cache.outcomes.insert(
-            (normalized_query, normalized_view),
-            CachedCheck {
-                verdict: outcome.verdict,
-                stats: outcome.stats,
-            },
-        );
-        outcome
-    }
-
-    /// [`SubsumptionChecker::check_cached`] composed with a
-    /// [`SharedSubsumptionMemo`]: the caller's private cache is consulted
-    /// first, then the shared memo (counting a shared hit as a private hit
-    /// too, so per-caller counters keep their meaning), and a full miss
-    /// saturates/probes locally and publishes the verdict to the memo —
-    /// but **only** when both normalized ids lie below `shared_bound`,
-    /// the published arena's concept count (ids at or above it were
-    /// interned locally by this caller and mean nothing to other
-    /// threads). Pass `usize::MAX` when the arena *is* the published one
-    /// (the single writer).
-    pub fn check_shared(
-        &self,
-        arena: &mut TermArena,
-        sub: ConceptId,
-        sup: ConceptId,
-        cache: &mut SubsumptionCache,
-        shared: &SharedSubsumptionMemo,
-        shared_bound: usize,
-    ) -> SubsumptionOutcome {
-        let normalized_query = cache.normalize(arena, sub);
-        let normalized_view = cache.normalize(arena, sup);
-        let key = (normalized_query, normalized_view);
-        if let Some(cached) = cache.outcomes.get(&key) {
-            cache.hits += 1;
-            crate::metrics::metrics().cache_hits.inc();
-            return SubsumptionOutcome {
-                verdict: cached.verdict,
-                stats: cached.stats,
-                normalized_query,
-                normalized_view,
-                trace: None,
-            };
-        }
-        let shareable =
-            normalized_query.index() < shared_bound && normalized_view.index() < shared_bound;
+            .add(stats.constraints_examined as u64);
+        cache.outcomes.insert(key, verdict);
         if shareable {
-            if let Some(cached) = shared.get(key) {
-                cache.hits += 1;
-                crate::metrics::metrics().cache_hits.inc();
-                cache.outcomes.insert(key, cached);
-                return SubsumptionOutcome {
-                    verdict: cached.verdict,
-                    stats: cached.stats,
-                    normalized_query,
-                    normalized_view,
-                    trace: None,
-                };
-            }
+            shared.insert(key, verdict);
         }
-        let outcome = self.saturate_and_probe(arena, cache, normalized_query, normalized_view);
-        if shareable {
-            shared.insert(
-                key,
-                CachedCheck {
-                    verdict: outcome.verdict,
-                    stats: outcome.stats,
-                },
-            );
-        }
-        outcome
-    }
-
-    /// [`SubsumptionChecker::check_shared`], reduced to the verdict.
-    pub fn subsumes_shared(
-        &self,
-        arena: &mut TermArena,
-        sub: ConceptId,
-        sup: ConceptId,
-        cache: &mut SubsumptionCache,
-        shared: &SharedSubsumptionMemo,
-        shared_bound: usize,
-    ) -> bool {
-        self.check_shared(arena, sub, sup, cache, shared, shared_bound)
-            .subsumed()
-    }
-
-    /// [`SubsumptionChecker::check_cached`], reduced to the verdict.
-    pub fn subsumes_cached(
-        &self,
-        arena: &mut TermArena,
-        sub: ConceptId,
-        sup: ConceptId,
-        cache: &mut SubsumptionCache,
-    ) -> bool {
-        self.check_cached(arena, sub, sup, cache).subsumed()
-    }
-
-    /// Σ-equivalence (mutual subsumption) through a [`SubsumptionCache`]:
-    /// the cached counterpart of [`SubsumptionChecker::equivalent`], for
-    /// view-vs-view questions over a long-lived catalog — e.g. asking
-    /// whether two materialized definitions denote the same node of the
-    /// subsumption lattice. Both directions go through the cache, so each
-    /// concept's fact closure is saturated at most once across all such
-    /// checks and repeats are pure lookups.
-    pub fn equivalent_cached(
-        &self,
-        arena: &mut TermArena,
-        a: ConceptId,
-        b: ConceptId,
-        cache: &mut SubsumptionCache,
-    ) -> bool {
-        self.subsumes_cached(arena, a, b, cache) && self.subsumes_cached(arena, b, a, cache)
-    }
-
-    /// Batch probe: decides `sub ⊑_Σ view` for every view, sharing one
-    /// normalization pass and one fact saturation for `sub` and the
-    /// cached outcomes for each `(sub, view)` pair — the optimizer's
-    /// per-query hot path. Planning against N fresh views costs exactly
-    /// one fact saturation plus N goal probes.
-    pub fn check_many(
-        &self,
-        arena: &mut TermArena,
-        sub: ConceptId,
-        views: &[ConceptId],
-        cache: &mut SubsumptionCache,
-    ) -> Vec<SubsumptionOutcome> {
-        views
-            .iter()
-            .map(|&view| self.check_cached(arena, sub, view, cache))
-            .collect()
+        verdict
     }
 
     fn run(
@@ -669,16 +453,6 @@ impl<'a> SubsumptionChecker<'a> {
     ) -> SubsumptionOutcome {
         let normalized_query = normalize_concept(arena, sub);
         let normalized_view = normalize_concept(arena, sup);
-        self.run_normalized(arena, normalized_query, normalized_view, record_trace)
-    }
-
-    fn run_normalized(
-        &self,
-        arena: &mut TermArena,
-        normalized_query: ConceptId,
-        normalized_view: ConceptId,
-        record_trace: bool,
-    ) -> SubsumptionOutcome {
         let mut completion = Completion::new(
             arena,
             self.schema,
@@ -687,14 +461,12 @@ impl<'a> SubsumptionChecker<'a> {
             record_trace,
         );
         let stats = completion.run();
-        let verdict = completion_verdict(&completion);
-        let trace = completion.trace().cloned();
         SubsumptionOutcome {
-            verdict,
+            verdict: completion_verdict(&completion),
             stats,
             normalized_query,
             normalized_view,
-            trace,
+            trace: completion.trace().cloned(),
         }
     }
 }
@@ -860,11 +632,12 @@ mod tests {
         let sb = arena.singleton(b);
         let both = arena.and(sa, sb);
         let thing_c = arena.prim(thing);
+        let top = arena.top();
         let checker = SubsumptionChecker::new(&schema);
-        assert!(checker.is_unsatisfiable(&mut arena, both));
+        assert!(checker.check(&mut arena, both, top).via_clash());
         let outcome = checker.check(&mut arena, both, thing_c);
         assert_eq!(outcome.verdict, SubsumptionVerdict::SubsumedByClash);
-        assert!(!checker.is_unsatisfiable(&mut arena, thing_c));
+        assert!(!checker.check(&mut arena, thing_c, top).via_clash());
     }
 
     /// Equivalence is mutual subsumption; `C ⊓ ⊤` is equivalent to `C`.
@@ -874,78 +647,48 @@ mod tests {
         let checker = SubsumptionChecker::new(&m.schema);
         let top = m.arena.top();
         let query_and_top = m.arena.and(m.query, top);
-        assert!(checker.equivalent(&mut m.arena, m.query, query_and_top));
-        assert!(!checker.equivalent(&mut m.arena, m.query, m.view));
+        assert!(checker.subsumes(&mut m.arena, m.query, query_and_top));
+        assert!(checker.subsumes(&mut m.arena, query_and_top, m.query));
+        assert!(!checker.subsumes(&mut m.arena, m.view, m.query));
     }
 
-    /// The cache memoizes outcomes: a repeated probe is a lookup, the
-    /// verdicts agree with the uncached path, and the normalization of the
-    /// query is shared across views.
+    /// The cache memoizes verdicts: a repeated probe is a lookup, the
+    /// verdicts agree with the uncached path (clash included), and N
+    /// fresh views cost one fact saturation of the query.
     #[test]
     fn cached_checks_agree_and_hit() {
         let mut m = medical_example();
         let checker = SubsumptionChecker::new(&m.schema);
         let mut cache = SubsumptionCache::new();
+        let no_memo = SharedSubsumptionMemo::new();
         let patient = m.voc.find_class("Patient").expect("interned");
         let patient_c = m.arena.prim(patient);
         let views = [m.view, patient_c, m.query];
 
-        let uncached: Vec<bool> = views
+        let uncached: Vec<SubsumptionVerdict> = views
             .iter()
-            .map(|&v| checker.subsumes(&mut m.arena, m.query, v))
+            .map(|&v| checker.check(&mut m.arena, m.query, v).verdict)
             .collect();
-        let first: Vec<bool> = checker
-            .check_many(&mut m.arena, m.query, &views, &mut cache)
-            .into_iter()
-            .map(|o| o.subsumed())
-            .collect();
-        assert_eq!(first, uncached);
-        let (hits_before, misses) = cache.stats();
-        assert_eq!(hits_before, 0);
-        assert_eq!(misses, 3);
+        let probe_all = |arena: &mut TermArena, cache: &mut SubsumptionCache| {
+            views
+                .iter()
+                .map(|&v| checker.probe(arena, m.query, v, cache, &no_memo, 0))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(probe_all(&mut m.arena, &mut cache), uncached);
+        assert_eq!(cache.stats(), (0, 3));
+        assert_eq!(cache.saturation_stats(), (1, 3));
 
-        // Second probe: all hits, same verdicts, no new outcomes.
-        let second: Vec<bool> = checker
-            .check_many(&mut m.arena, m.query, &views, &mut cache)
-            .into_iter()
-            .map(|o| o.subsumed())
-            .collect();
-        assert_eq!(second, uncached);
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 3);
-        assert_eq!(misses, 3);
+        // Second round: all hits, same verdicts, no new verdicts.
+        assert_eq!(probe_all(&mut m.arena, &mut cache), uncached);
+        assert_eq!(cache.stats(), (3, 3));
+        assert_eq!(cache.saturation_stats(), (1, 3));
         assert_eq!(cache.len(), 3);
-
-        // The cached outcome carries the same stats and normalized ids.
-        let direct = checker.check(&mut m.arena, m.query, m.view);
-        let cached = checker.check_cached(&mut m.arena, m.query, m.view, &mut cache);
-        assert_eq!(direct.verdict, cached.verdict);
-        assert_eq!(direct.stats.outcome_only(), cached.stats.outcome_only());
-        assert_eq!(direct.normalized_query, cached.normalized_query);
-        assert_eq!(direct.normalized_view, cached.normalized_view);
+        assert!(no_memo.is_empty(), "bound 0 publishes nothing");
+        assert_eq!(no_memo.stats(), (0, 0), "bound 0 never consults the memo");
 
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    /// Cached equivalence agrees with the uncached mutual-subsumption
-    /// check and reuses the saturated closures of both operands.
-    #[test]
-    fn cached_equivalence_agrees_with_uncached() {
-        let mut m = medical_example();
-        let checker = SubsumptionChecker::new(&m.schema);
-        let mut cache = SubsumptionCache::new();
-        let top = m.arena.top();
-        let query_and_top = m.arena.and(m.query, top);
-        assert!(checker.equivalent_cached(&mut m.arena, m.query, query_and_top, &mut cache));
-        assert!(!checker.equivalent_cached(&mut m.arena, m.query, m.view, &mut cache));
-        let (_, misses_before) = cache.stats();
-        // Repeating both checks is pure lookups.
-        assert!(checker.equivalent_cached(&mut m.arena, m.query, query_and_top, &mut cache));
-        assert!(!checker.equivalent_cached(&mut m.arena, m.query, m.view, &mut cache));
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, misses_before);
-        assert!(hits >= 3, "repeat equivalence checks must hit, got {hits}");
     }
 
     /// The saturation level evicts **least-recently-used** closures: a
@@ -960,12 +703,15 @@ mod tests {
         let mut arena = TermArena::new();
         let checker = SubsumptionChecker::new(&schema);
         let mut cache = SubsumptionCache::new();
+        let no_memo = SharedSubsumptionMemo::new();
         let top = arena.top();
         let cap = SubsumptionCache::SATURATED_QUERIES_CAP;
 
         // The hot query, saturated once.
         let hot = arena.prim(voc.class("Hot"));
-        assert!(checker.subsumes_cached(&mut arena, hot, top, &mut cache));
+        assert!(checker
+            .probe(&mut arena, hot, top, &mut cache, &no_memo, 0)
+            .holds());
         assert_eq!(cache.saturation_stats().0, 1);
 
         // A churny stream of `cap` distinct one-off queries, the hot
@@ -974,12 +720,14 @@ mod tests {
         let mut churn_saturations = 0;
         for i in 0..cap {
             let cold = arena.prim(voc.class(&format!("Cold{i}")));
-            assert!(checker.subsumes_cached(&mut arena, cold, top, &mut cache));
+            assert!(checker
+                .probe(&mut arena, cold, top, &mut cache, &no_memo, 0)
+                .holds());
             churn_saturations += 1;
             if i % 8 == 0 {
                 let view = arena.prim(voc.class(&format!("View{i}")));
                 let before = cache.saturation_stats().0;
-                checker.subsumes_cached(&mut arena, hot, view, &mut cache);
+                checker.probe(&mut arena, hot, view, &mut cache, &no_memo, 0);
                 assert_eq!(
                     cache.saturation_stats().0,
                     before,
@@ -992,7 +740,7 @@ mod tests {
         // under LRU it survived the whole stream.
         let view = arena.prim(voc.class("FinalView"));
         let before = cache.saturation_stats().0;
-        checker.subsumes_cached(&mut arena, hot, view, &mut cache);
+        checker.probe(&mut arena, hot, view, &mut cache, &no_memo, 0);
         assert_eq!(
             cache.saturation_stats().0,
             before,
@@ -1027,14 +775,14 @@ mod tests {
         let bound = m.arena.concept_count();
         let mut cache_a = SubsumptionCache::new();
         let mut cache_b = SubsumptionCache::new();
-        let a = checker.check_shared(&mut arena_a, m.query, m.view, &mut cache_a, &shared, bound);
-        assert_eq!(a.subsumed(), expect);
+        let a = checker.probe(&mut arena_a, m.query, m.view, &mut cache_a, &shared, bound);
+        assert_eq!(a.holds(), expect);
         let published = shared.len();
         assert!(published >= 1, "verdict must be published");
 
         // The second reader answers from the memo: no new saturation.
-        let b = checker.check_shared(&mut arena_b, m.query, m.view, &mut cache_b, &shared, bound);
-        assert_eq!(b.subsumed(), expect);
+        let b = checker.probe(&mut arena_b, m.query, m.view, &mut cache_b, &shared, bound);
+        assert_eq!(b.holds(), expect);
         assert_eq!(cache_b.saturation_stats(), (0, 0));
         assert_eq!(shared.len(), published);
         let (hits, _) = shared.stats();
@@ -1043,11 +791,11 @@ mod tests {
         // A pair involving a locally interned concept stays private.
         let local = arena_b.and(m.query, m.view);
         assert!(local.index() >= bound, "freshly interned above the bound");
-        checker.check_shared(&mut arena_b, local, m.view, &mut cache_b, &shared, bound);
+        checker.probe(&mut arena_b, local, m.view, &mut cache_b, &shared, bound);
         assert_eq!(shared.len(), published, "local pair must not be published");
         // …but is still memoized privately: a repeat is a hit.
         let (hits_before, misses_before) = cache_b.stats();
-        checker.check_shared(&mut arena_b, local, m.view, &mut cache_b, &shared, bound);
+        checker.probe(&mut arena_b, local, m.view, &mut cache_b, &shared, bound);
         assert_eq!(cache_b.stats(), (hits_before + 1, misses_before));
     }
 

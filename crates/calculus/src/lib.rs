@@ -51,8 +51,8 @@ pub mod rules;
 pub mod trace;
 
 pub use checker::{
-    SaturatedQuery, SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker,
-    SubsumptionOutcome, SubsumptionVerdict,
+    SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker, SubsumptionOutcome,
+    SubsumptionVerdict,
 };
 pub use constraint::{Constraint, ConstraintSet};
 pub use engine::{Completion, CompletionStats, SaturatedFacts};

@@ -1,12 +1,14 @@
 //! Process-wide telemetry counters of the calculus layer.
 //!
-//! Every [`SubsumptionCache`](crate::SubsumptionCache) — private reader
-//! caches and the writer's alike — bumps the same global counters at the
-//! same sites that maintain its per-cache `stats()` fields, so the
-//! registry exposes one aggregate view of all subsumption work in the
-//! process without double-counting: completion work (rule applications,
-//! constraints examined) is accumulated only on cache *misses*, where the
-//! completion actually ran.
+//! The one cached path, [`SubsumptionChecker::probe`](crate::SubsumptionChecker::probe),
+//! bumps these counters at the same sites that maintain the per-cache
+//! `stats()` fields of the [`SubsumptionCache`](crate::SubsumptionCache) it
+//! is handed — private reader caches and the writer's alike, a shared-memo
+//! hit counted as a hit — so the registry exposes one aggregate view of
+//! all cached subsumption work in the process without double-counting:
+//! completion work (rule applications, constraints examined) is
+//! accumulated only on *misses*, where the completion actually ran. The
+//! uncached checks count nothing here.
 
 use std::sync::OnceLock;
 use subq_telemetry::Counter;

@@ -8,7 +8,8 @@
 use proptest::prelude::*;
 use subq_calculus::reference::ReferenceCompletion;
 use subq_calculus::{
-    Completion, Constraint, SaturatedFacts, SubsumptionChecker, SubsumptionVerdict,
+    Completion, Constraint, SaturatedFacts, SharedSubsumptionMemo, SubsumptionCache,
+    SubsumptionChecker,
 };
 use subq_concepts::normalize::normalize_concept;
 use subq_concepts::prelude::*;
@@ -290,8 +291,9 @@ fn assert_probes_agree(
     Ok(())
 }
 
-/// The checker-level API must agree with the cached/uncached checker
-/// paths verdict-for-verdict.
+/// The checker's one cached path must agree with the uncached `check`
+/// verdict-for-verdict, and saturate the query's facts exactly once for
+/// all the views.
 fn assert_checker_probe_agrees(
     arena: &mut TermArena,
     schema: &Schema,
@@ -299,32 +301,24 @@ fn assert_checker_probe_agrees(
     views: &[ConceptId],
 ) -> Result<(), String> {
     let checker = SubsumptionChecker::new(schema);
-    let saturated = checker.saturate(arena, query);
-    let mut cache = subq_calculus::SubsumptionCache::new();
+    let mut cache = SubsumptionCache::new();
+    let no_memo = SharedSubsumptionMemo::new();
     for (i, &view) in views.iter().enumerate() {
-        let probe = saturated.probe(arena, view);
-        let direct = checker.check(arena, query, view);
-        let cached = checker.check_cached(arena, query, view, &mut cache);
-        if probe.verdict != direct.verdict || probe.verdict != cached.verdict {
+        let direct = checker.check(arena, query, view).verdict;
+        let cached = checker.probe(arena, query, view, &mut cache, &no_memo, 0);
+        if cached != direct {
             return Err(format!(
-                "verdicts diverge on view {i}: probe {:?}, direct {:?}, cached {:?}",
-                probe.verdict, direct.verdict, cached.verdict
+                "verdicts diverge on view {i}: direct {direct:?}, cached {cached:?}"
             ));
-        }
-        if probe.stats.outcome_only() != direct.stats.outcome_only() {
-            return Err(format!(
-                "outcome stats diverge on view {i}: probe {:?} vs direct {:?}",
-                probe.stats.outcome_only(),
-                direct.stats.outcome_only()
-            ));
-        }
-        if probe.normalized_query != direct.normalized_query
-            || probe.normalized_view != direct.normalized_view
-        {
-            return Err(format!("normalized concept ids diverge on view {i}"));
         }
     }
-    Ok(())
+    match cache.saturation_stats() {
+        (1, _) => Ok(()),
+        (saturations, _) => Err(format!(
+            "{saturations} fact saturations for {} views",
+            views.len()
+        )),
+    }
 }
 
 proptest! {
@@ -373,13 +367,14 @@ fn probe_confirms_constructed_subsumptions() {
         let mut env = RandomEnv::new(seed, RandomConceptParams::default());
         let (query, view) = env.subsumed_pair();
         let schema = Schema::new();
-        let checker = SubsumptionChecker::new(&schema);
-        let saturated = checker.saturate(&mut env.arena, query);
-        let outcome = saturated.probe(&mut env.arena, view);
+        let normalized_query = normalize_concept(&mut env.arena, query);
+        let normalized_view = normalize_concept(&mut env.arena, view);
+        let base = SaturatedFacts::saturate(&mut env.arena, &schema, normalized_query);
+        // `observe_probe` asserts the fork reported fact-phase reuse.
+        let probe = observe_probe(&mut env.arena, &schema, &base, normalized_view);
         assert!(
-            outcome.verdict != SubsumptionVerdict::NotSubsumed,
+            probe.derived || probe.clash.is_some(),
             "constructed subsumption must hold (seed {seed})"
         );
-        assert!(outcome.stats.fact_phase_reused);
     }
 }

@@ -53,9 +53,9 @@ pub struct OptimizedDatabase {
     /// (see [`OptimizedDatabase::update`]).
     subsumption_cache: SubsumptionCache,
     /// The verdict level shared with every [`Reader`] of the current
-    /// schema epoch: writer probes publish into it, so query shapes the
-    /// writer has planned are pre-warmed for all readers. Replaced
-    /// wholesale on schema mutation.
+    /// schema epoch: writer probes — plans and lattice classification
+    /// alike — publish into it, so every pair the writer has decided is
+    /// pre-warmed for all readers. Replaced wholesale on schema mutation.
     memo: Arc<SharedSubsumptionMemo>,
     /// The publication point readers attach to.
     pub(crate) cell: Arc<SnapshotCell>,
@@ -299,14 +299,18 @@ impl OptimizedDatabase {
         result
     }
 
-    /// [`OptimizedDatabase::commit`] with durability: the transaction's
-    /// delta batch is appended to the write-ahead log (fsynced according
-    /// to [`DurableOptions::group_commit`]) *before* the refreshed state
-    /// is published. `AddObject` deltas are logged with the names the
-    /// store minted, so replay reproduces the name table exactly. A
-    /// transaction that mutated the schema is not expressible as data
-    /// deltas — it triggers an immediate [`OptimizedDatabase::checkpoint`]
-    /// instead, making the new model durable through the image.
+    /// [`OptimizedDatabase::commit`] with durability. The order is: the
+    /// in-memory update, then the append of the transaction's delta batch
+    /// to the write-ahead log, then the publication of the refreshed
+    /// state. The append fsyncs only when a
+    /// [`DurableOptions::group_commit`] group is full, so with a group
+    /// larger than one, readers can see a transaction before its record
+    /// is on disk (ROADMAP item 1, open). `AddObject` deltas are logged
+    /// with the names the store minted, so replay reproduces the name
+    /// table exactly. A transaction that mutated the schema is not
+    /// expressible as data deltas — it triggers an immediate
+    /// [`OptimizedDatabase::checkpoint`] instead, making the new model
+    /// durable through the image.
     ///
     /// On an I/O error the in-memory mutation has already happened but
     /// was *not* made durable; the caller should treat the database as
@@ -526,6 +530,7 @@ impl OptimizedDatabase {
             vocabulary: &mut self.translated.vocabulary,
             arena: &mut self.translated.arena,
             cache: &mut self.subsumption_cache,
+            memo: &self.memo,
             checker: SubsumptionChecker::new(&self.translated.schema),
         };
         self.catalog.classify_pending(&mut oracle);
@@ -583,12 +588,15 @@ impl OptimizedDatabase {
         let concept_of = |name: &str| self.catalog.view(name)?.concept;
         let (a, b) = (concept_of(sub)?, concept_of(sup)?);
         let checker = SubsumptionChecker::new(&self.translated.schema);
-        Some(checker.subsumes_cached(
+        let verdict = checker.probe(
             &mut self.translated.arena,
             a,
             b,
             &mut self.subsumption_cache,
-        ))
+            &self.memo,
+            usize::MAX,
+        );
+        Some(verdict.holds())
     }
 
     /// The cardinality-statistics catalog, refreshed incrementally from
@@ -620,14 +628,17 @@ impl OptimizedDatabase {
 /// The lattice-classification oracle of an optimized database: translates
 /// view definitions with the shared vocabulary and arena (preferring the
 /// model's pre-translated query classes) and answers view-vs-view
-/// subsumption probes through the database's memoizing cache, so each
-/// view's fact closure is saturated at most once across all insertions.
+/// subsumption probes through the writer's cache and the shared memo —
+/// the path plans take — so each view's fact closure is saturated at most
+/// once across all insertions, and every verdict is published for the
+/// readers of the epoch.
 struct DatabaseOracle<'a> {
     db: &'a Database,
     queries: &'a std::collections::HashMap<String, ConceptId>,
     vocabulary: &'a mut subq_concepts::symbol::Vocabulary,
     arena: &'a mut TermArena,
     cache: &'a mut SubsumptionCache,
+    memo: &'a SharedSubsumptionMemo,
     checker: SubsumptionChecker<'a>,
 }
 
@@ -644,7 +655,8 @@ impl ClassifyOracle for DatabaseOracle<'_> {
 
     fn subsumes(&mut self, sub: ConceptId, sup: ConceptId) -> bool {
         self.checker
-            .subsumes_cached(self.arena, sub, sup, self.cache)
+            .probe(self.arena, sub, sup, self.cache, self.memo, usize::MAX)
+            .holds()
     }
 }
 

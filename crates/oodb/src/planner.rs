@@ -307,7 +307,9 @@ impl<'a> PlanContext<'a> {
         let traversal = traverse_lattice(
             self.views,
             |view_concept| {
-                checker.subsumes_shared(arena, query_concept, view_concept, cache, memo, bound)
+                checker
+                    .probe(arena, query_concept, view_concept, cache, memo, bound)
+                    .holds()
             },
             trace,
         );
@@ -321,9 +323,10 @@ impl<'a> PlanContext<'a> {
     }
 
     /// The flat reference planner: probes the query against **every**
-    /// translated view (one batch through the private cache — the query
-    /// is normalized and fact-saturated once for all N views) and reports
-    /// all subsuming views, smallest extension first.
+    /// translated view (through the same cached path as
+    /// [`PlanContext::plan`], so the query is normalized and
+    /// fact-saturated once for all N views) and reports all subsuming
+    /// views, smallest extension first.
     ///
     /// Counter parity with [`PlanContext::plan`]: every `QueryPlan` field
     /// is populated with the flat scan's honest value — `probes_pruned`
@@ -334,23 +337,21 @@ impl<'a> PlanContext<'a> {
         let Some(query_concept) = self.translate(query) else {
             return QueryPlan::default();
         };
-        let (candidates, concepts): (Vec<&MaterializedView>, Vec<ConceptId>) = self
+        let checker = SubsumptionChecker::new(self.schema);
+        let before = probe_counters(self.cache);
+        let (arena, cache) = (&mut *self.arena, &mut *self.cache);
+        let (memo, bound) = (self.memo, self.shared_bound);
+        let subsuming = self
             .views
             .iter()
-            .filter_map(|view| Some((view, view.concept?)))
-            .unzip();
-        let before = probe_counters(self.cache);
-        let outcomes = SubsumptionChecker::new(self.schema).check_many(
-            self.arena,
-            query_concept,
-            &concepts,
-            self.cache,
-        );
-        let subsuming = candidates
-            .into_iter()
-            .zip(outcomes)
-            .filter(|(_, outcome)| outcome.subsumed())
-            .map(|(view, _)| (view.definition.name.clone(), view.extent.len()))
+            .filter(|view| {
+                view.concept.is_some_and(|view_concept| {
+                    checker
+                        .probe(arena, query_concept, view_concept, cache, memo, bound)
+                        .holds()
+                })
+            })
+            .map(|view| (view.definition.name.clone(), view.extent.len()))
             .collect();
         plan_of(before, self.cache, subsuming, 0, lattice_depth(self.views))
     }

@@ -37,15 +37,23 @@
 //! # Subsumption caching across threads
 //!
 //! `ConceptId`s are indexes into a hash-consed, append-only arena. A
-//! reader clones the frozen arena once and interns locally, so ids below
-//! the frozen concept count denote identical terms in *every* clone —
-//! those pairs go through the snapshot's shared, sharded
+//! reader clones the frozen arena and interns locally, so ids below the
+//! frozen concept count denote identical terms in *every* clone — those
+//! pairs go through the snapshot's shared, sharded
 //! [`SharedSubsumptionMemo`]; pairs involving a locally interned concept
-//! stay in the reader's small private [`SubsumptionCache`] (which also
-//! keeps the saturated fact closures, LRU-capped). The writer probes with
-//! the same memo — its arena is the canonical one, so its bound is
-//! unlimited — and query shapes it has planned are pre-warmed for every
-//! reader.
+//! stay in the reader's private [`SubsumptionCache`] (which also keeps the
+//! saturated fact closures, LRU-capped). The writer probes — plans and
+//! lattice classification alike — through the same memo: its arena is the
+//! canonical one, so its bound is unlimited, and every verdict it reaches
+//! is pre-warmed for every reader.
+//!
+//! Both tiers are bounded. The memo admits only pairs below the frozen
+//! concept count, so it holds at most (frozen concepts)² verdicts per
+//! schema epoch and grows only when the writer interns. A reader's
+//! private state — arena, vocabulary and cache — grows with every query
+//! shape it has not seen; once it has interned more than
+//! `PRIVATE_CONCEPT_BUDGET` concepts of its own, the next query first
+//! rolls it back to the pinned frozen translation.
 
 use crate::advisor::{ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
 use crate::planner::{self, ExecutionStats, ExplainReport, PlanContext, QueryPlan};
@@ -64,6 +72,15 @@ use subq_translate::TranslatedModel;
 
 #[cfg(doc)]
 use crate::optimizer::OptimizedDatabase;
+
+/// Most concepts a [`Reader`] interns on top of the frozen arena before
+/// its next query rolls arena, vocabulary and cache back to the frozen
+/// translation. Against a 240-view catalog a fresh query shape interns
+/// about two concepts and caches about twenty verdicts, so the budget
+/// spans some 8 000 fresh shapes and holds a reader's private state to
+/// about 5 MiB; a reset costs one clone of the frozen arena and
+/// vocabulary.
+pub(crate) const PRIVATE_CONCEPT_BUDGET: usize = 16_384;
 
 /// The frozen structural translation a snapshot carries: everything a
 /// reader needs to translate and probe queries, cloned from the writer's
@@ -192,11 +209,13 @@ impl SnapshotCell {
         self.record_shapes.load(Ordering::Relaxed)
     }
 
+    /// Registers a new ring, pruning the rings of dropped readers first,
+    /// so the registry is bounded by the live readers even when nobody
+    /// harvests.
     pub(crate) fn register_ring(&self, ring: &Arc<ShapeRing>) {
-        self.rings
-            .lock()
-            .expect("shape ring registry poisoned")
-            .push(Arc::downgrade(ring));
+        let mut rings = self.rings.lock().expect("shape ring registry poisoned");
+        rings.retain(|weak| weak.strong_count() > 0);
+        rings.push(Arc::downgrade(ring));
     }
 
     /// Drains every live reader ring into `into` and prunes rings whose
@@ -237,9 +256,11 @@ impl SnapshotCell {
 /// translating an unseen query interns locally, without touching the
 /// writer) plus a private [`SubsumptionCache`]; verdicts about
 /// shared-arena concept pairs flow through the snapshot's
-/// [`SharedSubsumptionMemo`], so readers warm each other. The handle
-/// pins one snapshot until [`Reader::sync`] adopts a newer one —
-/// in-between, every answer is consistent with the pinned state.
+/// [`SharedSubsumptionMemo`], so readers warm each other. The private
+/// state is rebuilt from the frozen translation whenever it has grown
+/// past `PRIVATE_CONCEPT_BUDGET` concepts. The handle pins one snapshot
+/// until [`Reader::sync`] adopts a newer one — in-between, every answer
+/// is consistent with the pinned state.
 ///
 /// Readers are independent: create one per thread
 /// ([`OptimizedDatabase::reader`]); the creation cost is the clone of the
@@ -250,7 +271,6 @@ pub struct Reader {
     vocabulary: Vocabulary,
     arena: TermArena,
     cache: SubsumptionCache,
-    shared_bound: usize,
     /// Cardinality statistics, brought up to the pinned snapshot on first
     /// execution after [`Reader::sync`] adopted it. Published snapshots
     /// carry an empty log positioned at their version, so each catch-up
@@ -266,18 +286,14 @@ pub struct Reader {
 impl Reader {
     pub(crate) fn new(cell: Arc<SnapshotCell>) -> Self {
         let snapshot = cell.load();
-        let translated = &snapshot.translated;
-        let (vocabulary, arena) = (translated.vocabulary.clone(), translated.arena.clone());
-        let shared_bound = translated.shared_bound();
         let shapes = ShapeRing::new(SHAPE_RING_CAPACITY);
         cell.register_ring(&shapes);
         Reader {
             cell,
+            vocabulary: snapshot.translated.vocabulary.clone(),
+            arena: snapshot.translated.arena.clone(),
             snapshot,
-            vocabulary,
-            arena,
             cache: SubsumptionCache::new(),
-            shared_bound,
             stats: Statistics::new(),
             shapes,
         }
@@ -301,9 +317,9 @@ impl Reader {
     /// Adopts the latest published snapshot; returns whether it changed.
     /// When the new snapshot carries a different frozen translation (the
     /// writer interned new concepts or re-translated after a schema
-    /// change), the private arena, vocabulary, and cache are rebuilt —
-    /// locally interned ids would otherwise collide with the new shared
-    /// prefix. Data-only publications keep all private state. Adopting is
+    /// change), the private state is reset — locally interned ids would
+    /// otherwise collide with the new shared prefix. Data-only
+    /// publications keep all private state. Adopting is
     /// also where a publication costs the read path time: the last
     /// reader to let go of the replaced snapshot frees whatever the
     /// writer copied since (`subq_reader_sync_ns`).
@@ -313,14 +329,21 @@ impl Reader {
             return false;
         }
         let _span = crate::metrics::metrics().reader_sync_ns.span();
-        if !Arc::ptr_eq(&latest.translated, &self.snapshot.translated) {
-            self.vocabulary = latest.translated.vocabulary.clone();
-            self.arena = latest.translated.arena.clone();
-            self.shared_bound = latest.translated.shared_bound();
-            self.cache.clear();
-        }
+        let retranslated = !Arc::ptr_eq(&latest.translated, &self.snapshot.translated);
         self.snapshot = latest;
+        if retranslated {
+            self.reset();
+        }
         true
+    }
+
+    /// Rolls the private arena, vocabulary and cache back to the pinned
+    /// frozen translation. The cache keeps its counters.
+    fn reset(&mut self) {
+        let translated = &self.snapshot.translated;
+        self.vocabulary = translated.vocabulary.clone();
+        self.arena = translated.arena.clone();
+        self.cache.clear();
     }
 
     /// `(hits, misses)` of this reader's private subsumption cache.
@@ -329,9 +352,14 @@ impl Reader {
     }
 
     /// Lends the pinned snapshot and this reader's private arena and
-    /// cache to the one query path. Verdicts about concepts below the
-    /// frozen arena's size go through the snapshot's shared memo.
+    /// cache to the one query path, after resetting them if they have
+    /// outgrown `PRIVATE_CONCEPT_BUDGET`. Verdicts about concepts below
+    /// the frozen arena's size go through the snapshot's shared memo.
     fn context(&mut self) -> PlanContext<'_> {
+        let shared_bound = self.snapshot.translated.shared_bound();
+        if self.arena.concept_count() - shared_bound > PRIVATE_CONCEPT_BUDGET {
+            self.reset();
+        }
         let snapshot = &*self.snapshot;
         PlanContext {
             db: &snapshot.db,
@@ -341,7 +369,7 @@ impl Reader {
             arena: &mut self.arena,
             cache: &mut self.cache,
             memo: &snapshot.memo,
-            shared_bound: self.shared_bound,
+            shared_bound,
             stats: &self.stats,
             plan_ns: &crate::metrics::metrics().reader_plan_ns,
             shapes: self.cell.recording().then_some(&*self.shapes),
@@ -387,5 +415,152 @@ impl Reader {
     pub fn explain(&mut self, query: &QueryClassDecl) -> ExplainReport {
         self.stats.refresh(&self.snapshot.db);
         self.context().explain(query)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::optimizer::OptimizedDatabase;
+    use subq_calculus::SubsumptionChecker;
+    use subq_dl::{LabeledPath, PathFilter, PathStep};
+
+    fn hospital_with_views(views: &[&str]) -> OptimizedDatabase {
+        let mut odb = OptimizedDatabase::new(crate::store::tests::hospital()).expect("translates");
+        for view in views {
+            odb.materialize_view(view).expect("materializes");
+        }
+        odb.publish_snapshot();
+        odb
+    }
+
+    fn query(name: String, is_a: &str, path: &[(&str, PathFilter)]) -> QueryClassDecl {
+        let steps = path
+            .iter()
+            .map(|(attr, filter)| PathStep {
+                attr: (*attr).to_owned(),
+                filter: filter.clone(),
+            })
+            .collect();
+        QueryClassDecl {
+            name,
+            is_a: vec![is_a.to_owned()],
+            derived: vec![LabeledPath { label: None, steps }],
+            where_eqs: vec![],
+            constraint: None,
+        }
+    }
+
+    fn private_concepts(reader: &Reader) -> usize {
+        reader.arena.concept_count() - reader.snapshot.translated.shared_bound()
+    }
+
+    /// Readers created and dropped one after another leave the shape-ring
+    /// registry at the live readers plus the writer's own ring, whether or
+    /// not anybody harvests.
+    #[test]
+    fn ring_registry_is_bounded_by_live_readers() {
+        let odb = hospital_with_views(&[]);
+        for _ in 0..10_000 {
+            let reader = odb.reader();
+            let registered = odb.cell.rings.lock().expect("registry").len();
+            assert!(registered <= 2, "{registered} rings for one live reader");
+            drop(reader);
+        }
+    }
+
+    /// One reader driven through twice its concept budget with distinct
+    /// queries resets at least twice, never holds more than the budget
+    /// plus one query's concepts, keeps its cache counters, and answers
+    /// every query — on both sides of each reset — exactly like the
+    /// unoptimized evaluation.
+    #[test]
+    fn reader_private_state_stays_within_its_budget() {
+        const CLASSES: [&str; 8] = [
+            "Person", "Patient", "Doctor", "Male", "Female", "Drug", "Disease", "String",
+        ];
+        const ATTRS: [&str; 5] = ["takes", "consults", "suffers", "name", "skilled_in"];
+        // The budget is checked before a query translates, so the query
+        // that crosses it may overshoot until the next one resets.
+        const ONE_QUERY: usize = 64;
+        let odb = hospital_with_views(&["Patient", "Doctor"]);
+        let mut reader = odb.reader();
+        // Repeated shapes with non-empty answers, re-interned after every
+        // reset: a verdict or normal form surviving a reset would misroute
+        // them.
+        let anchors = [
+            query("Named".into(), "Person", &[("name", PathFilter::Any)]),
+            query(
+                "NamedPatient".into(),
+                "Patient",
+                &[("name", PathFilter::Any)],
+            ),
+            query(
+                "Skilled".into(),
+                "Doctor",
+                &[("skilled_in", PathFilter::Class("Disease".into()))],
+            ),
+        ];
+        let fresh = |i: u64| {
+            let path: Vec<(&str, PathFilter)> = (0..5)
+                .map(|digit| {
+                    let class = CLASSES[((i / 4) >> (3 * digit)) as usize % CLASSES.len()];
+                    (ATTRS[digit], PathFilter::Class(class.to_owned()))
+                })
+                .collect();
+            query(format!("F{i}"), CLASSES[i as usize % 4], &path)
+        };
+        let (mut resets, mut previous, mut misses, mut i) = (0, 0, 0, 0u64);
+        while resets < 2 {
+            let q = if i % 16 == 0 {
+                anchors[(i / 16) as usize % anchors.len()].clone()
+            } else {
+                fresh(i)
+            };
+            let (answers, _) = reader.execute(&q);
+            assert_eq!(answers, reader.execute_unoptimized(&q).0, "query {i}");
+            let private = private_concepts(&reader);
+            if previous > PRIVATE_CONCEPT_BUDGET {
+                assert!(private <= ONE_QUERY, "query {i} did not reset");
+                resets += 1;
+            } else {
+                assert!(private >= previous, "query {i} reset early");
+            }
+            assert!(private <= PRIVATE_CONCEPT_BUDGET + ONE_QUERY);
+            assert!(reader.cache_stats().1 >= misses, "counters survive resets");
+            (previous, misses) = (private, reader.cache_stats().1);
+            i += 1;
+        }
+    }
+
+    /// Lattice classification probes through the shared memo: after
+    /// `materialize_view` + `publish_snapshot`, a reader asking a
+    /// view-vs-parent pair on the one cached path answers from the memo
+    /// without a fact saturation.
+    #[test]
+    fn classification_verdicts_warm_the_readers() {
+        let odb = hospital_with_views(&["Patient", "ViewPatient"]);
+        let mut reader = odb.reader();
+        let snapshot = reader.snapshot().clone();
+        let concept = |name| {
+            snapshot
+                .view(name)
+                .and_then(|v| v.concept)
+                .expect("classified")
+        };
+        let (view, parent) = (concept("ViewPatient"), concept("Patient"));
+        let (memo_hits, _) = snapshot.shared_memo_stats();
+        let verdict = SubsumptionChecker::new(&snapshot.translated.schema).probe(
+            &mut reader.arena,
+            view,
+            parent,
+            &mut reader.cache,
+            &snapshot.memo,
+            snapshot.translated.shared_bound(),
+        );
+        assert!(verdict.holds());
+        assert_eq!(reader.cache.saturation_stats(), (0, 0));
+        assert_eq!(reader.cache_stats(), (1, 0));
+        assert_eq!(snapshot.shared_memo_stats().0, memo_hits + 1);
     }
 }

@@ -29,8 +29,9 @@
 //! top-down parent search (probes `new ⊑ existing`, descending only below
 //! views that subsume the newcomer) and one bottom-up child search (probes
 //! `existing ⊑ new` below the found parents, stopping at the first
-//! subsumed node of every branch). All probes go through the optimizer's
-//! [`subq_calculus::SubsumptionCache`], so the newcomer's fact closure is
+//! subsumed node of every branch). All probes take the planner's cached
+//! path ([`subq_calculus::SubsumptionChecker::probe`] over the writer's
+//! cache and the shared memo), so the newcomer's fact closure is
 //! saturated **once** for its whole top-down phase and every existing
 //! view's closure is reused from its own insertion — an insertion pays one
 //! fact saturation plus a number of goal-side probes bounded by the size
