@@ -20,13 +20,13 @@
 //! A [`Row`] is table line, JSON record and gate input at once, so a
 //! column is named where it is measured and where a gate reads it, and
 //! nowhere else. Each experiment's arms, parameters and bounds are
-//! documented on its module. Wall-clock bounds follow one scheme: hard on
-//! the committed rows, scaled to the cores they record
-//! (`core_scaled_bound`); live only an anti-collapse floor is hard and the
-//! target is a warning, because a shared runner is noisy (`floor`).
-//!
-//! `benches/` holds the Criterion harness for E1–E8 wall-clock; it shares
-//! nothing with the registry.
+//! documented on its module. Wall-clock bounds are E11–E13's in-process
+//! speedups and the interleaved overhead ceilings of E13 and E15. They
+//! follow one scheme: hard on the committed rows, scaled to the cores they
+//! record (`core_scaled_bound`); live only an anti-collapse floor is hard
+//! and the target is a warning, because a shared runner is noisy
+//! (`floor`). Load driven through the server (E14, E15's arms) gates
+//! counts only: served work is timed by `benchmark/`, in alternating pairs.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -253,7 +253,7 @@ pub(crate) fn best_speedup(
     best.ok_or_else(|| "no row of the widest parallel arm".to_string())
 }
 
-/// The parallel-speedup bound E11, E12 and E14 share, on [`best_speedup`]:
+/// The parallel-speedup bound E11 and E12 share, on [`best_speedup`]:
 /// committed, [`core_scaled_bound`] is hard; live, only the 0.5×
 /// anti-collapse floor is (nothing but a serialized path falls below half
 /// a single thread) and the bound is a warning.
@@ -584,24 +584,11 @@ mod tests {
                 "ceiling 200",
             ),
             ("e14", 5, "errors", Int(1), "1 typed ERR"),
-            (
-                "e14",
-                2,
-                "speedup_vs_1",
-                Float(0.1, 2),
-                "below the 0.90× floor",
-            ),
             ("e14", 8, "busy", Int(0), "zero BUSY"),
+            ("e14", 2, "queries", Int(571), "regenerate with `table e14`"),
             ("e15", 1, "errors", Int(1), "1 typed ERR"),
             ("e15", 2, "manual_ddl", Int(1), "1 manual DDL"),
             ("e15", 2, "auto_materialized", Int(0), "never fired"),
-            (
-                "e15",
-                2,
-                "query_p50_ns",
-                Int(1_000_000_000),
-                "above the 2.00× ceiling",
-            ),
         ]
     }
 

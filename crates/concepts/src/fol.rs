@@ -6,7 +6,7 @@
 //! variables, and every schema axiom to a closed formula, exactly as in
 //! Table 1 and Figure 2 of the paper. The formulas can be evaluated over a
 //! finite [`Interpretation`], which lets property tests verify that the two
-//! columns of Table 1 agree (experiment E4).
+//! columns of Table 1 agree (`tests/semantics_props.rs`).
 
 use crate::attribute::Attr;
 use crate::interpretation::{Element, Interpretation};

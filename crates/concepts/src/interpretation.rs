@@ -9,8 +9,8 @@
 //! by the equations of Table 1.
 //!
 //! Finite interpretations serve three purposes in this reproduction:
-//! they are the reference semantics for property tests (experiment E4),
-//! they cross-check the calculus by model enumeration, and the canonical
+//! they are the reference semantics for `tests/semantics_props.rs`, they
+//! cross-check the calculus by model enumeration, and the canonical
 //! interpretation constructed by the calculus (Section 4.2) is exported in
 //! this representation so the soundness proofs can be exercised as code.
 

@@ -197,6 +197,10 @@ mod tests {
         assert_eq!(o_full.valuations, 1 << 4);
         let o_full8 = prop_subsumes(&c8, &c8).expect("propositional");
         assert_eq!(o_full8.valuations, 1 << 8);
+        let c12 = independent_choices(&mut voc, 6);
+        let o_full12 = prop_subsumes(&c12, &c12).expect("propositional");
+        assert!(o_full12.subsumed);
+        assert_eq!(o_full12.valuations, 1 << 12);
     }
 
     #[test]
@@ -206,6 +210,7 @@ mod tests {
         assert!(!is_satisfiable(&php2));
         let out = prop_subsumes(&php2, &ExtConcept::Bottom).expect("propositional");
         assert!(out.subsumed, "an unsatisfiable concept is subsumed by ⊥");
+        assert!(!is_satisfiable(&pigeonhole(&mut voc, 3)));
     }
 
     #[test]
