@@ -67,6 +67,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep a constraint may nest: the height of the tree the parser
+/// builds, where an atom is one level and every `not`, quantifier and
+/// `and`/`or` node one more (a left-deep chain of `n` atoms is `n` levels
+/// high), and separately how deep parentheses around sub-expressions may
+/// nest. The parser, the renderer and every pass over the tree recurse
+/// once per level, so this bound is what keeps one frame from
+/// overflowing a default-size thread's stack; deeper input is a
+/// [`ParseError`]. Every tree within the bound renders
+/// ([`crate::pretty`]) to text within it.
+pub const MAX_NESTING: usize = 64;
+
+/// A parsed constraint and its height.
+type Nested = (ConstraintExpr, usize);
+
 /// Words that head sections or declarations and therefore terminate
 /// identifier lists.
 const SECTION_WORDS: &[&str] = &[
@@ -120,7 +134,7 @@ pub fn parse_query(source: &str) -> Result<QueryClassDecl, ParseError> {
 pub fn parse_constraint(source: &str) -> Result<ConstraintExpr, ParseError> {
     let tokens = tokenize(source)?;
     let mut parser = Parser::new(tokens);
-    let expr = parser.expr()?;
+    let expr = parser.constraint()?;
     parser.expect_eof()?;
     Ok(expr)
 }
@@ -128,11 +142,17 @@ pub fn parse_constraint(source: &str) -> Result<ConstraintExpr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parenthesized sub-expressions open around the current token.
+    groups: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            groups: 0,
+        }
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -277,7 +297,7 @@ impl Parser {
                 Some("constraint") => {
                     self.advance();
                     self.expect_kind(&TokenKind::Colon)?;
-                    constraint = Some(self.expr()?);
+                    constraint = Some(self.constraint()?);
                 }
                 Some("end") => break,
                 Some(other) => {
@@ -413,7 +433,7 @@ impl Parser {
                 Some("constraint") => {
                     self.advance();
                     self.expect_kind(&TokenKind::Colon)?;
-                    constraint = Some(self.expr()?);
+                    constraint = Some(self.constraint()?);
                 }
                 Some("end") => break,
                 Some(other) => {
@@ -501,58 +521,102 @@ impl Parser {
 
     // ----- constraint expressions ------------------------------------------
 
-    pub(crate) fn expr(&mut self) -> Result<ConstraintExpr, ParseError> {
+    fn constraint(&mut self) -> Result<ConstraintExpr, ParseError> {
+        Ok(self.expr(1)?.0)
+    }
+
+    /// Parses a child of a node at `level`, refusing to descend past
+    /// [`MAX_NESTING`] — the check that bounds the parser's own
+    /// recursion.
+    fn child(
+        &mut self,
+        level: usize,
+        parse: impl FnOnce(&mut Self, usize) -> Result<Nested, ParseError>,
+    ) -> Result<Nested, ParseError> {
+        if level >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        parse(self, level + 1)
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error_here(format!("constraint nests deeper than {MAX_NESTING} levels"))
+    }
+
+    /// An expression whose root sits at `level` (the constraint's root
+    /// is level 1), with its height.
+    fn expr(&mut self, level: usize) -> Result<Nested, ParseError> {
         match self.peek_word() {
             Some("forall") | Some("exists") => {
                 let quantifier = self.ident("a quantifier")?;
                 let var = self.ident("a variable")?;
                 self.expect_kind(&TokenKind::Slash)?;
                 let class = self.ident("a class name")?;
-                let body = Box::new(self.expr()?);
-                Ok(if quantifier == "forall" {
-                    ConstraintExpr::Forall(var, class, body)
-                } else {
-                    ConstraintExpr::Exists(var, class, body)
-                })
+                let (body, height) = self.child(level, Self::expr)?;
+                let body = Box::new(body);
+                Ok((
+                    if quantifier == "forall" {
+                        ConstraintExpr::Forall(var, class, body)
+                    } else {
+                        ConstraintExpr::Exists(var, class, body)
+                    },
+                    height + 1,
+                ))
             }
-            _ => self.or_expr(),
+            _ => self.chain(level, "or", Self::and_expr, ConstraintExpr::Or),
         }
     }
 
-    fn or_expr(&mut self) -> Result<ConstraintExpr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.peek_word() == Some("or") {
+    fn and_expr(&mut self, level: usize) -> Result<Nested, ParseError> {
+        self.chain(level, "and", Self::unary_expr, ConstraintExpr::And)
+    }
+
+    /// A left-deep chain of `operand`s joined by `word`. It is built in
+    /// a loop, but every link pushes the operands before it one level
+    /// down, so its height is checked link by link.
+    fn chain(
+        &mut self,
+        level: usize,
+        word: &str,
+        operand: fn(&mut Self, usize) -> Result<Nested, ParseError>,
+        join: fn(Box<ConstraintExpr>, Box<ConstraintExpr>) -> ConstraintExpr,
+    ) -> Result<Nested, ParseError> {
+        let (mut left, mut height) = operand(self, level)?;
+        while self.peek_word() == Some(word) {
             self.advance();
-            let right = self.and_expr()?;
-            left = ConstraintExpr::Or(Box::new(left), Box::new(right));
+            let (right, right_height) = self.child(level, operand)?;
+            height = height.max(right_height) + 1;
+            if level - 1 + height > MAX_NESTING {
+                return Err(self.too_deep());
+            }
+            left = join(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn and_expr(&mut self) -> Result<ConstraintExpr, ParseError> {
-        let mut left = self.unary_expr()?;
-        while self.peek_word() == Some("and") {
-            self.advance();
-            let right = self.unary_expr()?;
-            left = ConstraintExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn unary_expr(&mut self) -> Result<ConstraintExpr, ParseError> {
+    fn unary_expr(&mut self, level: usize) -> Result<Nested, ParseError> {
         if self.peek_word() == Some("not") {
             self.advance();
-            return Ok(ConstraintExpr::Not(Box::new(self.unary_expr()?)));
+            let (inner, height) = self.child(level, Self::unary_expr)?;
+            return Ok((ConstraintExpr::Not(Box::new(inner)), height + 1));
         }
         if self.peek().map(|t| &t.kind) == Some(&TokenKind::LParen) {
             self.advance();
-            let inner = if self.at_atom() {
-                self.atom()?
+            let nested = if self.at_atom() {
+                (self.atom()?, 1)
             } else {
-                self.expr()?
+                // A group builds no node of its own, but it is a
+                // recursion the levels do not see.
+                self.groups += 1;
+                if self.groups > MAX_NESTING {
+                    return Err(self.too_deep());
+                }
+                let nested = self.expr(level)?;
+                self.groups -= 1;
+                nested
             };
             self.expect_kind(&TokenKind::RParen)?;
-            return Ok(inner);
+            return Ok(nested);
         }
         Err(self.error_here("expected `not`, `(`, `forall`, or `exists` in constraint"))
     }
@@ -767,6 +831,38 @@ mod tests {
         assert!(matches!(expr, ConstraintExpr::Not(_)));
         let expr = parse_constraint("exists d/Disease (this suffers d)").expect("parses");
         assert!(matches!(expr, ConstraintExpr::Exists(..)));
+    }
+
+    /// `not` nesting and an `and` chain parse at exactly the budget and
+    /// fail one level past it, on a default-size thread, where an
+    /// unbounded descent over a ~1 MB constraint overflows the stack.
+    #[test]
+    fn nesting_is_bounded_at_the_budget() {
+        std::thread::spawn(|| {
+            let nots = |n: usize| format!("{}(this in Doctor)", "not ".repeat(n));
+            let chain = |n: usize| vec!["(this in Doctor)"; n].join(" and ");
+            for at_budget in [nots(MAX_NESTING - 1), chain(MAX_NESTING)] {
+                let expr = parse_constraint(&at_budget).expect("at the budget");
+                let rendered = crate::pretty::render_constraint(&expr);
+                assert_eq!(parse_constraint(&rendered), Ok(expr), "re-parses");
+            }
+            for past in [
+                nots(MAX_NESTING),
+                chain(MAX_NESTING + 1),
+                format!(
+                    "{}(this in Doctor){}",
+                    "(".repeat(MAX_NESTING + 1),
+                    ")".repeat(MAX_NESTING + 1)
+                ),
+                nots(50_000),
+                chain(50_000),
+            ] {
+                let err = parse_constraint(&past).expect_err("past the budget");
+                assert!(err.message.contains("nests deeper than"), "{err}");
+            }
+        })
+        .join()
+        .expect("no stack overflow");
     }
 
     #[test]

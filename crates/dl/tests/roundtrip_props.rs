@@ -122,6 +122,7 @@ fn random_query(rng: &mut StdRng, index: usize) -> QueryClassDecl {
     } else {
         vec![]
     };
+    // At most 4 levels high, far inside `subq_dl::parser::MAX_NESTING`.
     let constraint = if rng.gen_bool(0.6) {
         Some(random_constraint(rng, 3))
     } else {

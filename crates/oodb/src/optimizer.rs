@@ -363,13 +363,17 @@ impl OptimizedDatabase {
         Ok(result)
     }
 
-    /// Publishes the current state and serializes it into a checkpoint
-    /// image: model, object names, extents, attribute postings, and the
-    /// view catalog with its lattice edges, written atomically. The WAL
-    /// prefix the image covers (all of it — the image is taken at the
-    /// current version) is dropped, bounding recovery time by the churn
-    /// since the last checkpoint instead of the full history. Returns
-    /// the image's data version.
+    /// Serializes the current state into a checkpoint image — model,
+    /// object names, extents, attribute postings, and the view catalog
+    /// with its lattice edges, written atomically — and then publishes
+    /// it. The order is: classify and refresh the catalog, write the
+    /// image, swap the snapshot cell. A view or schema change therefore
+    /// becomes visible to readers only once it is on disk; when the
+    /// image fails, the published snapshot is the one before the call.
+    /// The WAL prefix the image covers (all of it — the image is taken
+    /// at the current version) is dropped, bounding recovery time by the
+    /// churn since the last checkpoint instead of the full history.
+    /// Returns the image's data version.
     ///
     /// # Panics
     ///
@@ -381,14 +385,17 @@ impl OptimizedDatabase {
             self.durable.is_some(),
             "checkpoint requires a database opened through OptimizedDatabase::open"
         );
-        // Publishing first is what makes stamping every view with the
+        // Refreshing first is what makes stamping every view with the
         // image version sound: each view is either refreshed through the
         // current version or confirmed untouched by the deltas in
         // between.
-        self.publish_snapshot();
+        self.classify_catalog();
+        self.catalog.refresh(&self.db);
         let engine = self.durable.as_mut().expect("checked above");
         let version = engine.checkpoint(&self.db, &self.catalog)?;
         self.db.set_durable_floor(version);
+        // Classification and refresh are already done: this only swaps.
+        self.publish_snapshot();
         Ok(version)
     }
 
@@ -1262,6 +1269,28 @@ mod tests {
         assert_eq!(after.len(), expected_answers.len() + 1);
         let (baseline, _) = reopened.execute_unoptimized(&query);
         assert_eq!(after, baseline);
+    }
+
+    /// A checkpoint publishes only after its image is written: a view
+    /// whose image failed is not visible to readers.
+    #[test]
+    fn a_failed_checkpoint_publishes_nothing() {
+        use crate::durable::{DurableOptions, FaultyBackend};
+        let backend = Arc::new(FaultyBackend::new());
+        let mut odb = OptimizedDatabase::open(backend.clone(), DurableOptions::default(), || {
+            hospital_with_many_patients(4)
+        })
+        .expect("genesis open");
+        odb.materialize_view("ViewPatient").expect("materializes");
+        backend.crash_after_bytes(0);
+        assert!(odb.checkpoint().is_err(), "the image cannot land");
+        assert!(
+            odb.snapshot()
+                .views()
+                .iter()
+                .all(|v| v.definition.name != "ViewPatient"),
+            "a view was published before its image was on disk"
+        );
     }
 
     /// A schema-mutating durable commit cannot be expressed as data

@@ -41,8 +41,11 @@
 //!   on the writer thread.
 //!
 //! Shutdown: `quit`, `stop`, or `shutdown` on stdin stops the server
-//! cleanly (exit 0) after flushing the metrics dump. A durable-engine
-//! failure exits 1, also after a final dump.
+//! cleanly (exit 0) after flushing the metrics dump. With `--dir`, a
+//! clean stop first writes one checkpoint image, so the next start
+//! decodes that image and replays no WAL record. A durable-engine
+//! failure — the stop image included, which leaves the previous image
+//! and the WAL intact — exits 1, also after a final dump.
 
 use std::process::exit;
 use std::sync::atomic::Ordering;
@@ -191,9 +194,12 @@ fn main() {
         ticks += 1;
         if stop.is_ok() {
             log::info(|| "shutdown requested on stdin".to_owned());
-            server.shutdown();
+            let crashed = server.shutdown();
             if let Some(path) = &metrics_dump {
                 write_dump(path);
+            }
+            if crashed {
+                fail("durable engine failed", "restart to recover from the log");
             }
             exit(0)
         }

@@ -265,9 +265,13 @@ impl Server {
         self.crashed.load(Ordering::Acquire)
     }
 
-    /// Stops accepting, drops every session, and joins all threads.
-    pub fn shutdown(mut self) {
+    /// Stops accepting, drops every session, and joins all threads — the
+    /// writer last, after its stop image when durable. Returns
+    /// [`Server::crashed`] as of the join: `true` when the durable engine
+    /// failed, the stop image included.
+    pub fn shutdown(mut self) -> bool {
         self.stop();
+        self.crashed()
     }
 
     fn stop(&mut self) {

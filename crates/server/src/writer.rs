@@ -11,6 +11,19 @@
 //! WAL's own group commit (E13 measures that curve; E14 measures this
 //! end of it).
 //!
+//! DDL is group-committed the same way. `DEFVIEW` and `MATERIALIZE`
+//! change the catalog but write nothing themselves: the drained batch
+//! writes **one** checkpoint image per run of consecutive DDL — before
+//! the next non-DDL command applies, or at the batch's end, and always
+//! before any ticket completes (volatile: one publication instead). An
+//! acknowledged view is therefore in an image on disk, and no `TXN`
+//! record ever reaches the WAL behind a view no image holds yet.
+//!
+//! A clean stop (every worker has dropped its sender) writes one more
+//! image before the writer returns, so the next start decodes it and
+//! replays nothing; a failed stop image leaves the previous image and
+//! the WAL as they were and is reported like any other durable failure.
+//!
 //! Nobody polls for a completion: every request names its worker's
 //! [`Waker`], and after a batch's fsync and its last completed ticket
 //! the writer wakes each distinct worker of the batch once. An idle
@@ -179,7 +192,8 @@ fn validate_defview(model: &DlModel, decl: &QueryClassDecl) -> Result<(), Respon
 }
 
 /// Applies one command; `Err` means the durable engine failed and the
-/// server must stop taking writes.
+/// server must stop taking writes. DDL leaves its image (or, volatile,
+/// its publication) to the drain loop: see [`write_image`].
 fn apply_cmd(
     db: &mut OptimizedDatabase,
     durable: bool,
@@ -216,12 +230,6 @@ fn apply_cmd(
             db.update(|db| db.model_mut().queries.push(decl));
             db.materialize_view(&name)
                 .expect("the view was validated and just declared");
-            if durable {
-                // The new schema is only recoverable through an image.
-                db.checkpoint()?;
-            } else {
-                db.publish_snapshot();
-            }
             Ok(Response::Ok {
                 version: db.database().data_version(),
             })
@@ -232,11 +240,6 @@ fn apply_cmd(
                     code: ErrorCode::Unknown,
                     message: e.to_string(),
                 });
-            }
-            if durable {
-                db.checkpoint()?;
-            } else {
-                db.publish_snapshot();
             }
             Ok(Response::Ok {
                 version: db.database().data_version(),
@@ -250,6 +253,18 @@ fn apply_cmd(
             })
         }
     }
+}
+
+/// Makes the DDL applied since the last image durable and visible: a
+/// checkpoint image when durable (a new view or query class is only
+/// recoverable through one), a publication when volatile.
+fn write_image(db: &mut OptimizedDatabase, durable: bool) -> Result<(), DurableError> {
+    if durable {
+        db.checkpoint()?;
+    } else {
+        db.publish_snapshot();
+    }
+    Ok(())
 }
 
 /// One advisor pass between batches.
@@ -267,7 +282,8 @@ fn advisor_tick(db: &mut OptimizedDatabase) -> Result<(), DurableError> {
 }
 
 /// The writer thread. It ends when every worker has dropped its sender
-/// (shutdown: the woken workers exit first) or when the durable engine
+/// (shutdown: the woken workers exit first; a durable writer then
+/// writes its stop image) or when the durable engine
 /// fails; the failure path raises `crashed` and wakes `wakers` — every
 /// worker and the acceptor — which is the only way a blocked thread
 /// learns that nothing more will be acknowledged.
@@ -286,7 +302,8 @@ pub(crate) fn run_writer(
     }
 }
 
-/// Drain, apply, one sync, acknowledge, wake. Between batches, and when
+/// Drain, apply (one image per run of DDL), one sync, acknowledge,
+/// wake; on a clean stop, one last image. Between batches, and when
 /// idle for `advisor_interval` (`None`: the advisor is off and an idle
 /// writer sleeps until a command arrives), it runs the view advisor —
 /// mining and auto-materialization ride the same thread as every other
@@ -315,7 +332,15 @@ fn serve_writes(
                 advisor_tick(db)?;
                 continue;
             }
-            Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            Err(RecvTimeoutError::Disconnected) => {
+                // A clean stop: one image, so the next start replays
+                // nothing and refreshes no view.
+                if durable {
+                    let version = db.checkpoint()?;
+                    log::info(|| format!("shutdown image written at version {version}"));
+                }
+                return Ok(());
+            }
         };
         let mut batch = vec![first];
         while let Ok(request) = rx.try_recv() {
@@ -328,9 +353,16 @@ fn serve_writes(
         let mut completions: Vec<(Ticket, Response)> = Vec::with_capacity(batch_len);
         let mut to_wake: Vec<Arc<Waker>> = Vec::new();
         let mut failure = None;
+        // Set by applied DDL, cleared by the image that covers it.
+        let mut image_pending = false;
         for request in batch {
             if !to_wake.iter().any(|w| Arc::ptr_eq(w, &request.waker)) {
                 to_wake.push(request.waker);
+            }
+            let ddl = matches!(request.cmd, WriteCmd::DefView(_) | WriteCmd::Materialize(_));
+            if image_pending && !ddl && failure.is_none() {
+                image_pending = false;
+                failure = write_image(db, durable).err();
             }
             // Once the engine has failed nothing more is applied; the
             // replies of a failed batch are overwritten below.
@@ -342,7 +374,11 @@ fn serve_writes(
                     internal("durable engine failed")
                 })
             };
+            image_pending |= ddl && matches!(response, Response::Ok { .. });
             completions.push((request.ticket, response));
+        }
+        if image_pending && failure.is_none() {
+            failure = write_image(db, durable).err();
         }
         // Group commit: the whole drained batch rides one fsync, and no
         // ticket completes before it — an ack is a durability promise.

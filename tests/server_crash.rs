@@ -12,10 +12,14 @@
 //! yields offsets that are meaningful in every crashed re-run.
 
 use std::io::{ErrorKind, Read};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use subq_oodb::durable::wal::WAL_FILE;
-use subq_oodb::{evaluate_query, Database, DurableOptions, FaultyBackend, OptimizedDatabase};
+use subq_oodb::{
+    evaluate_query, Database, DurableError, DurableOptions, FaultyBackend, OptimizedDatabase,
+    StorageBackend,
+};
 use subq_server::{
     churn_txn_request, view_query, Client, ErrorCode, Request, Response, Server, ServerConfig,
 };
@@ -132,16 +136,20 @@ fn acknowledged_commits_survive_every_scripted_wal_crash() {
             other => panic!("txn {t}: expected COMMITTED, got {other:?}"),
         }
     }
-    client.close().expect("graceful BYE");
-    server.shutdown();
+    // Read before the stop: a clean stop writes an image and empties
+    // the WAL.
     let wal = golden_backend
         .surviving_files()
         .remove(WAL_FILE)
         .expect("WAL exists");
     assert!(!wal.is_empty(), "the golden run must log transactions");
+    client.close().expect("graceful BYE");
+    server.shutdown();
 
     // Crash the serve at a spread of torn offsets across the WAL, plus
-    // its full length (= no crash ever fires).
+    // its full length: every serve-phase append lands, and the fault
+    // fires on the stop image instead, which must leave the setup image
+    // and the whole WAL to recover from.
     let mut cuts = crash_points(&wal, 1, seed);
     let step = cuts.len().div_ceil(9).max(1);
     cuts = cuts.into_iter().step_by(step).collect();
@@ -173,7 +181,7 @@ fn acknowledged_commits_survive_every_scripted_wal_crash() {
         if cut < wal.len() {
             assert!(server.crashed(), "cut={cut}: the fault never surfaced");
         }
-        server.shutdown();
+        assert!(server.shutdown(), "cut={cut}: the stop image cannot land");
 
         // The process is gone; the surviving bytes recover.
         backend.revive();
@@ -216,10 +224,29 @@ fn a_clean_shutdown_reopens_at_the_final_boundary() {
         }
     }
     client.close().expect("graceful BYE");
-    server.shutdown();
+    assert!(!server.shutdown(), "the stop image failed");
 
+    // The stop image covers everything: the reopen decodes it and
+    // replays nothing.
+    let wal = backend
+        .surviving_files()
+        .remove(WAL_FILE)
+        .unwrap_or_default();
+    assert!(
+        wal.is_empty(),
+        "a clean stop leaves {} WAL bytes",
+        wal.len()
+    );
     let recovered = OptimizedDatabase::open(backend, DurableOptions::default(), || unreachable!())
         .expect("clean reopen");
+    assert_eq!(
+        recovered
+            .durability_stats()
+            .expect("durable")
+            .recovered_records,
+        0,
+        "a clean restart replayed WAL records"
+    );
     assert_eq!(recovered.database().data_version(), last);
     let scratch = scratch_at(&trace, &committed, last);
     assert_serves_boundary(recovered, &trace, last, &scratch);
@@ -267,4 +294,147 @@ fn a_durable_failure_resets_idle_sessions_without_further_traffic() {
     }
     assert!(server.crashed());
     server.shutdown();
+}
+
+/// A [`FaultyBackend`] that counts the checkpoint images written (the
+/// WAL's reset is an atomic replacement too, and is not counted).
+#[derive(Default)]
+struct ImageCounter {
+    inner: FaultyBackend,
+    images: AtomicUsize,
+}
+
+impl StorageBackend for ImageCounter {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DurableError> {
+        self.inner.read(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<(), DurableError> {
+        self.inner.sync(name)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        if name != WAL_FILE {
+            self.images.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> Result<(), DurableError> {
+        self.inner.remove(name)
+    }
+    fn list(&self) -> Result<Vec<String>, DurableError> {
+        self.inner.list()
+    }
+}
+
+#[test]
+fn a_pipelined_ddl_burst_shares_one_image() {
+    let trace = churn_trace(
+        17,
+        ChurnParams {
+            views: 12,
+            ..ChurnParams::default()
+        },
+    );
+    let base = trace.db.data_version();
+    let (burst, rest) = trace.view_names.split_at(trace.view_names.len() - 2);
+    let backend = Arc::new(ImageCounter::default());
+    let odb = OptimizedDatabase::open(backend.clone(), DurableOptions { group_commit: 8 }, || {
+        trace.db.clone()
+    })
+    .expect("genesis open");
+    let server = Server::start(
+        odb,
+        ServerConfig {
+            write_queue: 64,
+            ..config()
+        },
+    )
+    .expect("binds loopback");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    // The burst: every MATERIALIZE is sent before the first reply is
+    // read, so the writer drains them together.
+    let before = backend.images.load(Ordering::SeqCst);
+    for name in burst {
+        client
+            .send(&Request::Materialize { name: name.clone() })
+            .expect("pipelines");
+    }
+    for name in burst {
+        match client.receive().expect("acks") {
+            Response::Ok { .. } => {}
+            other => panic!("MATERIALIZE {name}: expected OK, got {other:?}"),
+        }
+    }
+    let burst_images = backend.images.load(Ordering::SeqCst) - before;
+    assert!(
+        (1..burst.len()).contains(&burst_images),
+        "{} pipelined MATERIALIZEs wrote {burst_images} images",
+        burst.len()
+    );
+
+    // A transaction splits a run: however the three are drained, the
+    // image of `a` precedes the TXN's WAL record and `b` gets its own.
+    let before = backend.images.load(Ordering::SeqCst);
+    client
+        .send(&Request::Materialize {
+            name: rest[0].clone(),
+        })
+        .expect("pipelines");
+    client
+        .send(&churn_txn_request(&trace.transactions[0]))
+        .expect("pipelines");
+    client
+        .send(&Request::Materialize {
+            name: rest[1].clone(),
+        })
+        .expect("pipelines");
+    assert!(matches!(
+        client.receive().expect("acks"),
+        Response::Ok { .. }
+    ));
+    let version = match client.receive().expect("commits") {
+        Response::Committed { version } => version,
+        other => panic!("expected COMMITTED, got {other:?}"),
+    };
+    assert!(matches!(
+        client.receive().expect("acks"),
+        Response::Ok { .. }
+    ));
+    assert_eq!(backend.images.load(Ordering::SeqCst) - before, 2);
+
+    // Die before the stop image lands: recovery sees only what the acks
+    // promised.
+    drop(client);
+    backend.inner.crash_after_bytes(0);
+    assert!(server.shutdown(), "the stop image cannot land");
+    backend.inner.revive();
+    let recovered = OptimizedDatabase::open(backend, DurableOptions::default(), || {
+        panic!("an image exists, genesis must not run")
+    })
+    .expect("recovers");
+    assert_eq!(recovered.database().data_version(), version);
+
+    // Every acked view is back, in the lattice a scratch engine over the
+    // same views classifies.
+    let mut scratch = OptimizedDatabase::new(trace.db.clone()).expect("translates");
+    for name in &trace.view_names {
+        scratch.materialize_view(name).expect("materializes");
+    }
+    let mut names = recovered.catalog().view_names();
+    names.sort();
+    let mut expected = trace.view_names.clone();
+    expected.sort();
+    assert_eq!(names, expected);
+    let mut edges = recovered.catalog().lattice_edges();
+    edges.sort();
+    let mut expected = scratch.catalog().lattice_edges();
+    expected.sort();
+    assert_eq!(edges, expected);
+    let committed = [base, version];
+    let at = scratch_at(&trace, &committed, version);
+    assert_serves_boundary(recovered, &trace, version, &at);
 }

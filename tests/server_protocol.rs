@@ -105,6 +105,51 @@ fn garbage_inside_valid_frames_is_survivable() {
 }
 
 #[test]
+fn a_deeply_nested_query_is_a_parse_error_not_a_dead_server() {
+    let (server, trace) = serve(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    // ~200 KB of `not` and a ~1 MB `and` chain, both far under the
+    // frame cap: unbounded descent over either overflows the worker's
+    // stack and aborts the process.
+    let nots = format!("{}(this in K0)", "not ".repeat(50_000));
+    let chain = vec!["(this in K0)"; 50_000].join(" and ");
+    for constraint in [nots, chain] {
+        let text = format!("QUERY\nQueryClass Deep isA K0 with constraint: {constraint} end Deep");
+        let mut framed = Vec::new();
+        encode_frame(text.as_bytes(), &mut framed);
+        client.send_raw(&framed).expect("sends");
+        match client.receive().expect("typed reply") {
+            Response::Error {
+                code: ErrorCode::Parse,
+                message,
+            } => assert!(message.contains("nests deeper than"), "{message}"),
+            other => panic!("expected ERR PARSE, got {other:?}"),
+        }
+    }
+    // The same session and a second one both keep answering.
+    let mut second = Client::connect(server.addr()).expect("connects");
+    second.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    for session in [&mut client, &mut second] {
+        match session
+            .request(&Request::Query(view_query(&trace, 0)))
+            .expect("answers")
+        {
+            Response::Answers { names, .. } => {
+                assert_eq!(names, expected_answers(&trace, 0));
+            }
+            other => panic!("expected ANSWERS, got {other:?}"),
+        }
+    }
+    client.close().expect("graceful BYE");
+    second.close().expect("graceful BYE");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frames_close_with_a_typed_toobig() {
     let (server, _) = serve(ServerConfig {
         workers: 1,
