@@ -11,7 +11,8 @@
 //!   in *rate*: a 1-core box cannot show parallel speedup, so the rows
 //!   record the cores they ran on.
 //! * `e11_commit_cost` — the wall-clock of a whole commit (the
-//!   transaction's mutations, view maintenance, `publish_snapshot`, and
+//!   transaction's mutations, its WAL record for the volatile store's
+//!   discarding backend, view maintenance, the publication, and
 //!   an attached reader's `sync()` adopting it, where the state the commit
 //!   replaced is freed), best of 7, versus transaction size (1/8/64/512
 //!   effective mutations of existing objects) at 10k and 40k objects.
@@ -199,11 +200,13 @@ fn throughput_arm(threads: usize, base_rate: &mut Option<f64>) -> Row {
         while Instant::now() < deadline {
             let txn = &trace.transactions[t % trace.transactions.len()];
             t += 1;
-            writer.commit(|db| {
-                for op in txn {
-                    op.apply(db);
-                }
-            });
+            writer
+                .commit_durable(|db| {
+                    for op in txn {
+                        op.apply(db);
+                    }
+                })
+                .expect("a volatile commit cannot fail");
             std::thread::sleep(Duration::from_millis(1));
         }
         stop.store(true, Ordering::Relaxed);
@@ -248,7 +251,7 @@ fn commit_cost_ns(objects: usize, txn_ops: usize) -> u128 {
     for _ in 0..7 {
         let before = writer.database().data_version();
         let start = Instant::now();
-        writer.commit(|db| {
+        let committed = writer.commit_durable(|db| {
             for (j, from) in walk.by_ref().take(txn_ops).enumerate() {
                 if j % 2 == 0 {
                     let to = (from.0..objects as u32)
@@ -266,6 +269,7 @@ fn commit_cost_ns(objects: usize, txn_ops: usize) -> u128 {
                 }
             }
         });
+        committed.expect("a volatile commit cannot fail");
         reader.sync();
         best = best.min(start.elapsed().as_nanos());
         assert!(

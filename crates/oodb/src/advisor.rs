@@ -597,10 +597,10 @@ impl OptimizedDatabase {
     /// instead of materialized. The advisor only ever evicts names it
     /// minted itself (`__adv_*`); user-declared views are never touched.
     ///
-    /// Runs strictly between transactions: on a durable database a pass
-    /// that declared a new query class checkpoints (schema changes are
-    /// not expressible as WAL deltas), any other catalog change
-    /// republishes, and a pass that changed nothing publishes nothing.
+    /// Runs strictly between transactions: a pass that declared a new
+    /// query class checkpoints (schema changes are not expressible as WAL
+    /// deltas), any other catalog change republishes, and a pass that
+    /// changed nothing publishes nothing.
     pub fn run_advisor(&mut self) -> Result<AdvisorPass, DurableError> {
         if self.advisor.config().mode == AdvisorMode::Off {
             return Ok(AdvisorPass::default());
@@ -703,7 +703,7 @@ impl OptimizedDatabase {
             }
         }
         if !pass.materialized.is_empty() || !pass.evicted.is_empty() {
-            if self.durable.is_some() && schema_changed {
+            if schema_changed {
                 self.checkpoint()?;
             } else {
                 self.publish_snapshot();

@@ -5,7 +5,8 @@
 //! suite can swap the real filesystem ([`FileBackend`]) for an in-memory
 //! [`FaultyBackend`] that fails, short-writes, or bit-flips at a
 //! scripted byte offset and then hands the surviving bytes to a fresh
-//! `open()`.
+//! `open()`. A volatile store is the same engine over
+//! [`DiscardBackend`], which keeps nothing.
 
 use super::DurableError;
 use std::collections::HashMap;
@@ -32,6 +33,11 @@ pub trait StorageBackend: Send + Sync {
     fn remove(&self, name: &str) -> Result<(), DurableError>;
     /// The names currently stored.
     fn list(&self) -> Result<Vec<String>, DurableError>;
+    /// Whether checkpoint images are wasted on this backend: the engine
+    /// then takes the checkpoint without encoding one.
+    fn declines_images(&self) -> bool {
+        false
+    }
 }
 
 fn io_err(context: &str, error: std::io::Error) -> DurableError {
@@ -147,6 +153,43 @@ impl StorageBackend for FileBackend {
         }
         names.sort();
         Ok(names)
+    }
+}
+
+/// The backend of a volatile store: every write is dropped, `sync`
+/// returns at once, and nothing is ever found. The engine runs its one
+/// write order over it unchanged; there is simply nothing to recover.
+/// It declines images, whose encoding would cost a volatile `DEFVIEW`
+/// milliseconds for bytes nobody reads.
+pub struct DiscardBackend;
+
+impl StorageBackend for DiscardBackend {
+    fn read(&self, _name: &str) -> Result<Option<Vec<u8>>, DurableError> {
+        Ok(None)
+    }
+
+    fn append(&self, _name: &str, _bytes: &[u8]) -> Result<(), DurableError> {
+        Ok(())
+    }
+
+    fn sync(&self, _name: &str) -> Result<(), DurableError> {
+        Ok(())
+    }
+
+    fn write_atomic(&self, _name: &str, _bytes: &[u8]) -> Result<(), DurableError> {
+        Ok(())
+    }
+
+    fn remove(&self, _name: &str) -> Result<(), DurableError> {
+        Ok(())
+    }
+
+    fn list(&self) -> Result<Vec<String>, DurableError> {
+        Ok(Vec::new())
+    }
+
+    fn declines_images(&self) -> bool {
+        true
     }
 }
 
@@ -353,6 +396,18 @@ mod tests {
         backend.remove("img").expect("idempotent remove");
         assert_eq!(backend.list().expect("list"), vec!["wal.log".to_owned()]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn discard_backend_keeps_nothing_and_declines_images() {
+        let backend = DiscardBackend;
+        backend.append("wal.log", b"record").expect("append");
+        backend.sync("wal.log").expect("sync");
+        backend.write_atomic("img", b"image").expect("atomic");
+        assert_eq!(backend.read("wal.log").expect("read"), None);
+        assert!(backend.list().expect("list").is_empty());
+        assert!(backend.declines_images());
+        assert!(!FaultyBackend::new().declines_images());
     }
 
     #[test]

@@ -23,7 +23,12 @@
 //! * all I/O goes through a [`StorageBackend`] so the crash-recovery
 //!   suite can inject short writes and bit flips at scripted byte
 //!   offsets ([`backend::FaultyBackend`]) and prove that every crash
-//!   point recovers to a prefix of the committed history.
+//!   point recovers to a prefix of the committed history, and so a
+//!   volatile store is this same engine over
+//!   [`backend::DiscardBackend`], which keeps nothing;
+//! * a snapshot swap takes a `Synced` proof, which only a sync mints, so
+//!   readers never see a logged transaction before its record is on
+//!   disk (an unlogged `OptimizedDatabase::update` bypasses the log).
 
 pub mod backend;
 pub mod checkpoint;
@@ -31,7 +36,7 @@ pub mod codec;
 pub mod recover;
 pub mod wal;
 
-pub use backend::{FaultyBackend, FileBackend, StorageBackend};
+pub use backend::{DiscardBackend, FaultyBackend, FileBackend, StorageBackend};
 pub use codec::{record_boundaries, WalRecord};
 
 use crate::maintain::Delta;
@@ -90,7 +95,7 @@ pub struct DurabilityStats {
     pub group_commits: u64,
     /// Fsyncs issued against the WAL.
     pub fsyncs: u64,
-    /// Checkpoint images written.
+    /// Checkpoints taken (images written, or declined by the backend).
     pub checkpoints: u64,
     /// WAL records replayed by the last recovery.
     pub recovered_records: u64,
@@ -99,33 +104,51 @@ pub struct DurabilityStats {
     pub truncated_tail_bytes: u64,
 }
 
+/// Proof that no appended WAL record awaits its fsync: every
+/// transaction the log has seen is on stable storage. Only the engine
+/// mints one — after a sync, or when the last sync already covers every
+/// append — and the writer's snapshot swap takes one.
+pub(crate) struct Synced(u64);
+
+impl Synced {
+    /// The durability watermark the proof was minted at.
+    pub(crate) fn version(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The engine bundling a backend, the WAL, and checkpoint bookkeeping.
-/// Owned by [`OptimizedDatabase`](crate::OptimizedDatabase) when opened
-/// durably; every mutation of durable state flows through here.
+/// Owned by every [`OptimizedDatabase`](crate::OptimizedDatabase) —
+/// over [`DiscardBackend`] when the store is volatile; every mutation of
+/// durable state flows through here.
 pub struct DurableEngine {
     backend: Arc<dyn StorageBackend>,
     wal: wal::Wal,
-    /// `data_version` covered by the newest checkpoint image on disk.
-    checkpoint_version: u64,
     stats: DurabilityStats,
 }
 
 impl DurableEngine {
     /// An engine over a backend whose durable state was just recovered
-    /// (or freshly initialized) at `checkpoint_version`.
+    /// (or freshly initialized) through `wal_version`.
     pub(crate) fn resume(
         backend: Arc<dyn StorageBackend>,
         options: DurableOptions,
-        checkpoint_version: u64,
         wal_version: u64,
         stats: DurabilityStats,
     ) -> Self {
         DurableEngine {
             wal: wal::Wal::resume(backend.clone(), options.group_commit, wal_version),
             backend,
-            checkpoint_version,
             stats,
         }
+    }
+
+    /// The engine of a volatile store: the same WAL and images, over a
+    /// backend that keeps nothing, positioned at `version`.
+    pub(crate) fn discarding(version: u64) -> Self {
+        let backend = Arc::new(DiscardBackend);
+        let options = DurableOptions::default();
+        Self::resume(backend, options, version, DurabilityStats::default())
     }
 
     /// Appends one committed transaction to the WAL and returns the
@@ -140,35 +163,43 @@ impl DurableEngine {
             .append_commit(start_version, deltas, &mut self.stats)
     }
 
+    /// The data version the WAL's last record ends at.
+    pub(crate) fn logged_version(&self) -> u64 {
+        self.wal.appended_version()
+    }
+
     /// Forces the pending group-commit batch to disk.
-    pub(crate) fn sync(&mut self) -> Result<u64, DurableError> {
-        self.wal.sync(&mut self.stats)
+    pub(crate) fn sync(&mut self) -> Result<Synced, DurableError> {
+        self.wal.sync(&mut self.stats).map(Synced)
+    }
+
+    /// The proof that nothing awaits an fsync, when nothing does.
+    pub(crate) fn synced(&self) -> Option<Synced> {
+        self.wal.fully_synced().map(Synced)
     }
 
     /// Writes a checkpoint image of `(db, catalog)` and drops the WAL
-    /// prefix it covers. The caller must have published first: every
+    /// prefix it covers. The caller must have refreshed first: every
     /// view's extension is consistent with `db.data_version()`.
     pub(crate) fn checkpoint(
         &mut self,
         db: &Database,
         catalog: &ViewCatalog,
-    ) -> Result<u64, DurableError> {
+    ) -> Result<Synced, DurableError> {
         // Whatever the batch state, the image must not get ahead of the
         // log on disk.
         self.wal.sync(&mut self.stats)?;
-        let version = checkpoint::write_checkpoint(self.backend.as_ref(), db, catalog)?;
+        let version = if self.backend.declines_images() {
+            db.data_version()
+        } else {
+            checkpoint::write_checkpoint(self.backend.as_ref(), db, catalog)?
+        };
         self.stats.checkpoints += 1;
         // Every WAL record starts at or below the image version, so the
         // covered prefix is the whole log.
         self.wal.reset(version)?;
-        self.checkpoint_version = version;
         checkpoint::remove_images_before(self.backend.as_ref(), version);
-        Ok(version)
-    }
-
-    /// The data version of the newest checkpoint image.
-    pub fn checkpoint_version(&self) -> u64 {
-        self.checkpoint_version
+        Ok(Synced(version))
     }
 
     /// The cumulative counters.

@@ -26,9 +26,6 @@ pub(crate) struct Recovered {
     /// The Hasse diagram recorded at checkpoint time; re-classification
     /// must reproduce it.
     pub(crate) edges: Vec<(String, String)>,
-    /// The image's data version (the WAL resumes from the recovered
-    /// version, not from here).
-    pub(crate) checkpoint_version: u64,
 }
 
 /// Replays `records` on top of a clone of `base`. Returns the replayed
@@ -149,7 +146,6 @@ pub(crate) fn recover(
         db,
         views: image.views,
         edges: image.edges,
-        checkpoint_version: image.data_version,
     }))
 }
 
@@ -229,7 +225,7 @@ mod tests {
         // the image version (what restored views refresh from).
         assert_eq!(
             recovered.db.delta_log().base_version(),
-            recovered.checkpoint_version
+            hospital().data_version()
         );
         assert_eq!(recovered.db.delta_log().len(), 4);
     }
@@ -246,6 +242,7 @@ mod tests {
         let (backend, expected) = seeded();
         let wal = backend.read(WAL_FILE).expect("read").expect("exists");
         let boundaries = codec::record_boundaries(&wal);
+        let image_version = hospital().data_version();
         for cut in 0..=wal.len() {
             let survivor = FaultyBackend::with_files(backend.surviving_files().into_iter().map(
                 |(name, bytes)| match name.as_str() {
@@ -263,7 +260,7 @@ mod tests {
             // history: image version + 2 deltas per surviving record.
             assert_eq!(
                 recovered.db.data_version(),
-                recovered.checkpoint_version + 2 * whole as u64,
+                image_version + 2 * whole as u64,
                 "cut at {cut}"
             );
             if whole == 2 {

@@ -110,6 +110,17 @@ impl Wal {
         Ok(())
     }
 
+    /// The data version the last appended record ends at.
+    pub(crate) fn appended_version(&self) -> u64 {
+        self.appended_version
+    }
+
+    /// The durability watermark when no appended record awaits its
+    /// fsync; `None` while a group-commit batch is open.
+    pub(crate) fn fully_synced(&self) -> Option<u64> {
+        (self.pending == 0).then_some(self.synced_version)
+    }
+
     /// The durability watermark: every commit at or below it survives
     /// any crash.
     #[cfg(test)]

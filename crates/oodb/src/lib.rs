@@ -47,7 +47,8 @@ pub use advisor::{
     AUTO_VIEW_PREFIX,
 };
 pub use durable::{
-    DurabilityStats, DurableError, DurableOptions, FaultyBackend, FileBackend, StorageBackend,
+    DiscardBackend, DurabilityStats, DurableError, DurableOptions, FaultyBackend, FileBackend,
+    StorageBackend,
 };
 pub use eval::{evaluate_query, evaluate_query_over};
 pub use maintain::{Delta, DeltaLog, MaintenanceStats};

@@ -60,7 +60,7 @@
 //! single-rooted catalog has nothing to share (table in CHANGES.md,
 //! PR 17). The writer then publishes the refreshed state as one atomic
 //! snapshot swap (see
-//! [`OptimizedDatabase::commit`](crate::OptimizedDatabase::commit)).
+//! [`OptimizedDatabase::commit_durable`](crate::OptimizedDatabase::commit_durable)).
 //!
 //! [`refresh_full`]: crate::views::ViewCatalog::refresh_full
 

@@ -4,12 +4,20 @@
 //! [`OptimizedDatabase`] owns the live state — the store, its structural
 //! translation, the view catalog with its subsumption lattice, the
 //! subsumption cache, cardinality statistics — and is the single place
-//! that mutates it: [`OptimizedDatabase::update`] /
-//! [`OptimizedDatabase::commit`] / [`OptimizedDatabase::commit_durable`]
-//! apply a transaction, [`OptimizedDatabase::publish_snapshot`] hands the
-//! result to the lock-free [`Reader`]s, [`OptimizedDatabase::open`] and
-//! [`OptimizedDatabase::checkpoint`] tie it to the write-ahead log (see
-//! [`crate::durable`]).
+//! that mutates it. There is one write sequence, whatever the store:
+//! update → WAL append → fsync → publish → acknowledge.
+//! [`OptimizedDatabase::commit_durable`] applies and logs a transaction,
+//! [`OptimizedDatabase::sync_durable`] ends a group-commit batch, and
+//! [`OptimizedDatabase::checkpoint`] writes an image; each of them hands
+//! the result to the lock-free [`Reader`]s only once its log is on disk
+//! (the one snapshot swap takes a `Synced` proof, which only a sync
+//! mints). [`OptimizedDatabase::update`] bypasses the log: its deltas
+//! reach readers with the next publication and disk with the next image.
+//! A store built with [`OptimizedDatabase::new`] is volatile only
+//! because its engine writes to a
+//! [`DiscardBackend`](crate::durable::DiscardBackend), which keeps
+//! nothing and syncs at once; [`OptimizedDatabase::open`] ties the same
+//! engine to a real backend (see [`crate::durable`]).
 //!
 //! Queries are **not** implemented here. [`OptimizedDatabase::plan`],
 //! [`OptimizedDatabase::execute`] and friends lend the live state to a
@@ -24,7 +32,7 @@
 
 use crate::advisor::{Advisor, ShapeRing, SHAPE_RING_CAPACITY};
 use crate::durable::{
-    recover, DurabilityStats, DurableEngine, DurableError, DurableOptions, StorageBackend,
+    recover, DurabilityStats, DurableEngine, DurableError, DurableOptions, StorageBackend, Synced,
 };
 use crate::maintain::Delta;
 use crate::planner::{self, ExecutionStats, PlanContext, QueryPlan};
@@ -67,11 +75,12 @@ pub struct OptimizedDatabase {
     /// Cardinality statistics behind the execution cost model, kept fresh
     /// incrementally from the delta log (see [`crate::stats`]).
     pub(crate) stats: Statistics,
-    /// The durable engine, when this database was opened through
-    /// [`OptimizedDatabase::open`]: [`OptimizedDatabase::commit_durable`]
+    /// The durable engine: [`OptimizedDatabase::commit_durable`]
     /// write-ahead logs every transaction before publishing, and
     /// [`OptimizedDatabase::checkpoint`] compacts the log into an image.
-    pub(crate) durable: Option<DurableEngine>,
+    /// Over a [`DiscardBackend`](crate::durable::DiscardBackend) unless
+    /// opened through [`OptimizedDatabase::open`].
+    pub(crate) durable: DurableEngine,
     /// The workload-adaptive view advisor (see [`crate::advisor`]):
     /// mined shapes, budget, and lifecycle counters. Acts only inside
     /// [`OptimizedDatabase::run_advisor`].
@@ -84,7 +93,9 @@ pub struct OptimizedDatabase {
 
 impl OptimizedDatabase {
     /// Wraps a database, translating its model into SL/QL once, and
-    /// publishes the initial snapshot.
+    /// publishes the initial snapshot. The store is volatile: its engine
+    /// logs to a [`DiscardBackend`](crate::durable::DiscardBackend), so
+    /// nothing survives the process.
     pub fn new(db: Database) -> Result<Self, TranslateError> {
         let translated = subq_translate::translate_model(db.model())?;
         let memo = Arc::new(SharedSubsumptionMemo::new());
@@ -102,6 +113,7 @@ impl OptimizedDatabase {
         })));
         let shapes = ShapeRing::new(SHAPE_RING_CAPACITY);
         cell.register_ring(&shapes);
+        let durable = DurableEngine::discarding(db.data_version());
         Ok(OptimizedDatabase {
             db,
             translated,
@@ -111,7 +123,7 @@ impl OptimizedDatabase {
             cell,
             frozen: Some((frozen_translation, fingerprint)),
             stats: Statistics::new(),
-            durable: None,
+            durable,
             advisor: Advisor::default(),
             shapes,
         })
@@ -135,73 +147,51 @@ impl OptimizedDatabase {
     ) -> Result<Self, DurableError> {
         let _span = crate::metrics::metrics().recovery_ns.span();
         let mut stats = DurabilityStats::default();
-        match recover::recover(backend.as_ref(), &mut stats)? {
-            None => {
-                let db = initial();
-                let mut odb = OptimizedDatabase::new(db).map_err(|e| {
-                    DurableError::Corrupt(format!("genesis model does not translate: {e:?}"))
-                })?;
-                odb.durable = Some(DurableEngine::resume(
-                    backend,
-                    options,
-                    0,
-                    odb.db.data_version(),
-                    stats,
-                ));
-                odb.checkpoint()?;
-                Ok(odb)
-            }
-            Some(recovered) => {
-                let mut db = recovered.db;
-                // Everything recovered is on disk: pin nothing, allow
-                // the cap to trim the replayed suffix once every view
-                // has consumed it.
-                db.set_durable_floor(db.data_version());
-                let recovered_version = db.data_version();
-                let mut odb = OptimizedDatabase::new(db).map_err(|e| {
-                    DurableError::Corrupt(format!("recovered model does not translate: {e:?}"))
-                })?;
-                // Restore the views under their image-stamped freshness:
-                // replayed suffix deltas sit in the in-memory log with
-                // base = image version, so the next refresh propagates
-                // exactly what the image had not seen. Definitions are
-                // recovered from the model — every view names a declared
-                // query class or a schema class (materialized as the
-                // trivial `isA C`).
-                let mut restored = Vec::with_capacity(recovered.views.len());
-                for (name, fresh_as_of, extent) in recovered.views {
-                    let definition = Self::view_definition(&odb.db, &name).ok_or_else(|| {
-                        DurableError::Corrupt(format!(
-                            "checkpoint view {name} is not declared by the recovered model"
-                        ))
-                    })?;
-                    restored.push((Arc::new(definition), Arc::new(extent), fresh_as_of));
-                }
-                odb.catalog.restore(restored);
-                odb.classify_catalog();
-                // Re-classification must reproduce the Hasse diagram the
-                // image recorded: subsumption depends only on the schema
-                // and the definitions, both of which the image carries.
-                let mut derived = odb.catalog.lattice_edges();
-                derived.sort();
-                let mut recorded = recovered.edges;
-                recorded.sort();
-                if derived != recorded {
-                    return Err(DurableError::Corrupt(
-                        "re-classified lattice disagrees with the checkpointed edges".into(),
-                    ));
-                }
-                odb.durable = Some(DurableEngine::resume(
-                    backend,
-                    options,
-                    recovered.checkpoint_version,
-                    recovered_version,
-                    stats,
-                ));
-                odb.publish_snapshot();
-                Ok(odb)
-            }
+        let recovered = recover::recover(backend.as_ref(), &mut stats)?;
+        let genesis = recovered.is_none();
+        let recovered = recovered.unwrap_or_else(|| recover::Recovered {
+            db: initial(),
+            views: Vec::new(),
+            edges: Vec::new(),
+        });
+        let mut odb = OptimizedDatabase::new(recovered.db)
+            .map_err(|e| DurableError::Corrupt(format!("the model does not translate: {e:?}")))?;
+        odb.durable = DurableEngine::resume(backend, options, odb.db.data_version(), stats);
+        // Restore the views under their image-stamped freshness: replayed
+        // suffix deltas sit in the in-memory log with base = image
+        // version, so the next refresh propagates exactly what the image
+        // had not seen. Definitions are recovered from the model — every
+        // view names a declared query class or a schema class
+        // (materialized as the trivial `isA C`).
+        let mut restored = Vec::with_capacity(recovered.views.len());
+        for (name, fresh_as_of, extent) in recovered.views {
+            let definition = Self::view_definition(&odb.db, &name).ok_or_else(|| {
+                DurableError::Corrupt(format!(
+                    "checkpoint view {name} is not declared by the recovered model"
+                ))
+            })?;
+            restored.push((Arc::new(definition), Arc::new(extent), fresh_as_of));
         }
+        odb.catalog.restore(restored);
+        odb.classify_catalog();
+        // Re-classification must reproduce the Hasse diagram the image
+        // recorded: subsumption depends only on the schema and the
+        // definitions, both of which the image carries.
+        let mut derived = odb.catalog.lattice_edges();
+        derived.sort();
+        let mut recorded = recovered.edges;
+        recorded.sort();
+        if derived != recorded {
+            return Err(DurableError::Corrupt(
+                "re-classified lattice disagrees with the checkpointed edges".into(),
+            ));
+        }
+        if genesis {
+            odb.checkpoint()?;
+        } else {
+            odb.publish_snapshot();
+        }
+        Ok(odb)
     }
 
     /// Read access to the underlying database.
@@ -230,6 +220,9 @@ impl OptimizedDatabase {
     /// are available through [`OptimizedDatabase::maintenance_stats`].
     /// Log entries every view has already consumed are truncated on
     /// entry, bounding the log by the churn since the staleest view.
+    /// Nothing is logged or published: the next
+    /// [`OptimizedDatabase::commit_durable`] or
+    /// [`OptimizedDatabase::checkpoint`] makes it durable through an image.
     ///
     /// If the closure also mutates the *schema* (through
     /// [`Database::model_mut`]), the structural translation is redone and
@@ -247,6 +240,11 @@ impl OptimizedDatabase {
     /// Panics if the mutated model no longer translates; schema evolution
     /// must keep the model structurally well formed.
     pub fn update<R>(&mut self, mutate: impl FnOnce(&mut Database) -> R) -> R {
+        // Only this transaction's deltas may still be missing from disk:
+        // earlier ones are logged, or — after an unlogged `update` — are
+        // covered by the image the next `commit_durable` takes first. Pin
+        // just these against the log cap until the WAL has them.
+        self.db.set_durable_floor(self.db.data_version());
         if let Some(oldest) = self.catalog.oldest_snapshot() {
             self.db.truncate_log(oldest);
         } else {
@@ -288,47 +286,37 @@ impl OptimizedDatabase {
     }
 
     /// Mutates the database as one transaction
-    /// ([`OptimizedDatabase::update`]), propagates the deltas to the
-    /// materialized views, and publishes the refreshed state to all
-    /// readers with one atomic snapshot swap. The write path of the
-    /// snapshot-isolated serving loop.
-    pub fn commit<R>(&mut self, mutate: impl FnOnce(&mut Database) -> R) -> R {
-        let _span = crate::metrics::metrics().commit_publish_ns.span();
-        let result = self.update(mutate);
-        self.publish_snapshot();
-        result
-    }
-
-    /// [`OptimizedDatabase::commit`] with durability. The order is: the
-    /// in-memory update, then the append of the transaction's delta batch
-    /// to the write-ahead log, then the publication of the refreshed
-    /// state. The append fsyncs only when a
-    /// [`DurableOptions::group_commit`] group is full, so with a group
-    /// larger than one, readers can see a transaction before its record
-    /// is on disk (ROADMAP item 1, open). `AddObject` deltas are logged
-    /// with the names the store minted, so replay reproduces the name
-    /// table exactly. A transaction that mutated the schema is not
-    /// expressible as data deltas — it triggers an immediate
-    /// [`OptimizedDatabase::checkpoint`] instead, making the new model
-    /// durable through the image.
+    /// ([`OptimizedDatabase::update`]) and runs the write sequence on it:
+    /// the append of its delta batch to the write-ahead log, the refresh
+    /// of the materialized views, and the publication of the refreshed
+    /// state — once its record is on disk. The append fsyncs when it
+    /// fills a [`DurableOptions::group_commit`] group; before that the
+    /// refreshed state is only staged, the snapshot cell keeps the last
+    /// synced state, and [`OptimizedDatabase::sync_durable`] publishes
+    /// it. A volatile store syncs at once, so every commit publishes.
+    /// `AddObject` deltas are logged with the names the store minted, so
+    /// replay reproduces the name table exactly. A transaction that
+    /// mutated the schema is not expressible as data deltas — it
+    /// triggers an immediate [`OptimizedDatabase::checkpoint`] instead,
+    /// making the new model durable through the image. So does an
+    /// unlogged [`OptimizedDatabase::update`] since the last commit: the
+    /// checkpoint comes first, because the WAL cannot chain over its
+    /// deltas.
     ///
     /// On an I/O error the in-memory mutation has already happened but
-    /// was *not* made durable; the caller should treat the database as
-    /// lost (that is the crash the recovery suite drills).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the database was not opened through
-    /// [`OptimizedDatabase::open`].
+    /// was neither made durable nor published; the caller should treat
+    /// the database as lost (that is the crash the recovery suite
+    /// drills).
     pub fn commit_durable<R>(
         &mut self,
         mutate: impl FnOnce(&mut Database) -> R,
     ) -> Result<R, DurableError> {
         let _span = crate::metrics::metrics().commit_publish_ns.span();
-        assert!(
-            self.durable.is_some(),
-            "commit_durable requires a database opened through OptimizedDatabase::open"
-        );
+        if self.db.data_version() != self.durable.logged_version() {
+            // An unlogged `update` left a gap the WAL cannot chain over:
+            // an image makes those deltas durable and realigns the log.
+            self.checkpoint()?;
+        }
         let version_before = self.db.data_version();
         let schema_before = self.db.schema_version();
         let result = self.update(mutate);
@@ -346,14 +334,12 @@ impl OptimizedDatabase {
             })
             .collect();
         if !deltas.is_empty() {
-            let appended = version_before + deltas.len() as u64;
-            let engine = self.durable.as_mut().expect("checked above");
-            engine.log_transaction(version_before, deltas)?;
+            self.durable.log_transaction(version_before, deltas)?;
             // Appended records are on the log (an OS crash may still
             // lose the unsynced tail — recovery truncates it); the
             // in-memory delta log no longer needs to pin them for
             // durability.
-            self.db.set_durable_floor(appended);
+            self.db.set_durable_floor(self.db.data_version());
         }
         if self.db.schema_version() != schema_before {
             self.checkpoint()?;
@@ -366,78 +352,89 @@ impl OptimizedDatabase {
     /// Serializes the current state into a checkpoint image — model,
     /// object names, extents, attribute postings, and the view catalog
     /// with its lattice edges, written atomically — and then publishes
-    /// it. The order is: classify and refresh the catalog, write the
-    /// image, swap the snapshot cell. A view or schema change therefore
-    /// becomes visible to readers only once it is on disk; when the
-    /// image fails, the published snapshot is the one before the call.
-    /// The WAL prefix the image covers (all of it — the image is taken
-    /// at the current version) is dropped, bounding recovery time by the
-    /// churn since the last checkpoint instead of the full history.
-    /// Returns the image's data version.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the database was not opened through
-    /// [`OptimizedDatabase::open`].
+    /// it. The order is: classify and refresh the catalog, sync the WAL
+    /// and write the image, swap the snapshot cell. A view or schema
+    /// change therefore becomes visible to readers only once it is on
+    /// disk; when the image fails, the published snapshot is the one
+    /// before the call. The WAL prefix the image covers (all of it — the
+    /// image is taken at the current version) is dropped, bounding
+    /// recovery time by the churn since the last checkpoint instead of
+    /// the full history. Returns the image's data version.
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
         let _span = crate::metrics::metrics().checkpoint_ns.span();
-        assert!(
-            self.durable.is_some(),
-            "checkpoint requires a database opened through OptimizedDatabase::open"
-        );
         // Refreshing first is what makes stamping every view with the
         // image version sound: each view is either refreshed through the
         // current version or confirmed untouched by the deltas in
         // between.
-        self.classify_catalog();
-        self.catalog.refresh(&self.db);
-        let engine = self.durable.as_mut().expect("checked above");
-        let version = engine.checkpoint(&self.db, &self.catalog)?;
-        self.db.set_durable_floor(version);
-        // Classification and refresh are already done: this only swaps.
-        self.publish_snapshot();
+        self.stage();
+        let synced = self.durable.checkpoint(&self.db, &self.catalog)?;
+        let version = synced.version();
+        self.publish(synced);
         Ok(version)
     }
 
-    /// Forces the pending group-commit batch to stable storage and
-    /// returns the durability watermark: every transaction at or below
-    /// it survives any crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the database was not opened through
-    /// [`OptimizedDatabase::open`].
+    /// Forces the pending group-commit batch to stable storage, then
+    /// publishes the state it covers if readers are behind it, and
+    /// returns the durability watermark: every transaction at or below it
+    /// survives any crash.
     pub fn sync_durable(&mut self) -> Result<u64, DurableError> {
-        self.durable
-            .as_mut()
-            .expect("sync_durable requires a database opened through OptimizedDatabase::open")
-            .sync()
+        let synced = self.durable.sync()?;
+        let version = synced.version();
+        if self.cell.load().data_version() < self.db.data_version() {
+            self.publish(synced);
+        }
+        Ok(version)
     }
 
-    /// The durable engine's cumulative counters, when opened durably.
+    /// The durable engine's cumulative counters. Always `Some`: a
+    /// volatile store counts the records and images its backend drops.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.durable.as_ref().map(|engine| engine.stats().clone())
+        Some(self.durable.stats().clone())
     }
 
-    /// Publishes the current state as an immutable [`Snapshot`]: brings
-    /// every view up to the current data version first (so the published
-    /// pair (state, extensions) is internally consistent), then swaps the
-    /// snapshot cell. The publication itself clones one `Arc` per class,
-    /// attribute, name chunk and view; what a transaction pays for being
-    /// published is the copy its *next* mutation makes of whatever it
-    /// touches that the snapshot now shares — a class extent, a view
-    /// extension, one forward and one reverse id-range chunk per
-    /// attribute pair (see [`crate::store`]) — and a reader pays for
-    /// freeing the replaced copies when it lets the old snapshot go.
-    /// Neither depends on how much of the store the transaction left
-    /// alone.
+    /// Publishes the current state as an immutable [`Snapshot`] if the
+    /// log has nothing unsynced, and returns the published snapshot.
+    /// Either way it brings every view up to the current data version
+    /// first, so the pair (state, extensions) is internally consistent
+    /// whenever it is swapped in. While a group-commit batch awaits its
+    /// fsync the cell keeps the last synced state: this hardens every
+    /// caller, and [`OptimizedDatabase::sync_durable`] publishes the
+    /// batch. Mutations made through [`OptimizedDatabase::update`] are
+    /// never logged; they reach readers with the next publication.
     pub fn publish_snapshot(&mut self) -> Arc<Snapshot> {
+        match self.durable.synced() {
+            Some(synced) => self.publish(synced),
+            None => {
+                self.stage();
+                self.snapshot()
+            }
+        }
+    }
+
+    /// Classifies pending views and refreshes stale extensions: what a
+    /// publication needs and only the writer can do.
+    fn stage(&mut self) {
         // Published views must be classified — readers have no oracle to
         // classify with, and an unclassified catalog would traverse (and
         // accelerate) nothing. Pending views exist after raw
         // materialization or a schema mutation reset the lattice.
         self.classify_catalog();
         self.catalog.refresh(&self.db);
+    }
+
+    /// The one snapshot swap. It takes the proof of a sync, so a reader
+    /// never adopts a logged transaction before its record is on disk
+    /// (unlogged [`OptimizedDatabase::update`]s ride along). The publication
+    /// itself clones one `Arc` per class, attribute, name chunk and view;
+    /// what a transaction pays for being published is the copy its
+    /// *next* mutation makes of whatever it touches that the snapshot now
+    /// shares — a class extent, a view extension, one forward and one
+    /// reverse id-range chunk per attribute pair (see [`crate::store`]) —
+    /// and a reader pays for freeing the replaced copies when it lets the
+    /// old snapshot go. Neither depends on how much of the store the
+    /// transaction left alone.
+    fn publish(&mut self, _synced: Synced) -> Arc<Snapshot> {
+        self.stage();
         let translated = self.frozen_translation();
         let snapshot = Arc::new(Snapshot {
             db: self.db.snapshot_clone(),
@@ -651,13 +648,13 @@ struct DatabaseOracle<'a> {
 
 impl ClassifyOracle for DatabaseOracle<'_> {
     fn concept_of(&mut self, definition: &QueryClassDecl) -> Option<ConceptId> {
-        view_concept(
-            definition,
-            self.db,
-            self.queries,
-            self.vocabulary,
-            self.arena,
-        )
+        // The model's pre-translated query classes first, a fresh
+        // translation of the definition otherwise (e.g. for the
+        // synthesized `isA C` views of schema classes). Looked up once
+        // per view, at classification; the catalog caches the result.
+        self.queries.get(&definition.name).copied().or_else(|| {
+            translate_query(definition, self.db.model(), self.vocabulary, self.arena).ok()
+        })
     }
 
     fn subsumes(&mut self, sub: ConceptId, sup: ConceptId) -> bool {
@@ -665,23 +662,6 @@ impl ClassifyOracle for DatabaseOracle<'_> {
             .probe(self.arena, sub, sup, self.cache, self.memo, usize::MAX)
             .holds()
     }
-}
-
-/// The QL concept of a view definition: the model's pre-translated query
-/// classes first, a fresh translation of the definition otherwise (e.g.
-/// for the synthesized `isA C` views of schema classes). Looked up once
-/// per view, at classification; the catalog caches the result.
-fn view_concept(
-    definition: &QueryClassDecl,
-    db: &Database,
-    queries: &std::collections::HashMap<String, ConceptId>,
-    vocabulary: &mut subq_concepts::symbol::Vocabulary,
-    arena: &mut TermArena,
-) -> Option<ConceptId> {
-    queries
-        .get(&definition.name)
-        .copied()
-        .or_else(|| translate_query(definition, db.model(), vocabulary, arena).ok())
 }
 
 #[cfg(test)]
@@ -1154,9 +1134,10 @@ mod tests {
 
         // A no-op model mutation still bumps the schema version: the
         // lattice and all derived state are rebuilt.
-        odb.commit(|db| {
+        odb.commit_durable(|db| {
             db.model_mut();
-        });
+        })
+        .expect("a volatile commit cannot fail");
         assert!(reader.sync(), "commit must publish a new snapshot");
         let snapshot = reader.snapshot().clone();
         assert!(
@@ -1170,6 +1151,45 @@ mod tests {
         assert_eq!(
             answers,
             crate::eval::evaluate_query(snapshot.database(), query)
+        );
+    }
+
+    /// A volatile store may mix unlogged `update`s with `commit_durable`:
+    /// the commit closes the version gap with a (declined) image instead
+    /// of breaking the WAL's chain, and the floor it leaves does not pin
+    /// later `update`s, so the log cap still bounds the delta log.
+    #[test]
+    fn volatile_updates_mix_with_commits_and_stay_capped() {
+        use crate::store::DELTA_LOG_CAP;
+        let db = hospital_with_many_patients(3);
+        let mut odb = OptimizedDatabase::new(db).expect("translates");
+        // A view that is never refreshed again: only the cap bounds the log.
+        odb.materialize_view("ViewPatient").expect("materializes");
+        let mut reader = odb.reader();
+        odb.update(|db| {
+            db.add_object("unlogged");
+        });
+        let before = odb.durability_stats().expect("always some");
+        odb.commit_durable(|db| {
+            db.add_object("logged");
+        })
+        .expect("a volatile commit cannot fail");
+        let after = odb.durability_stats().expect("always some");
+        assert_eq!(after.checkpoints, before.checkpoints + 1);
+        assert_eq!(after.wal_records, before.wal_records + 1);
+        assert!(reader.sync(), "the commit publishes");
+        let published = reader.snapshot().database();
+        assert!(published.object("unlogged").is_some());
+        assert!(published.object("logged").is_some());
+        for i in 0..DELTA_LOG_CAP + 1_000 {
+            odb.update(|db| {
+                db.add_object(&format!("bulk{i}"));
+            });
+        }
+        assert!(
+            odb.database().delta_log().len() <= DELTA_LOG_CAP,
+            "a stale durable floor pinned {} unlogged deltas",
+            odb.database().delta_log().len()
         );
     }
 

@@ -268,7 +268,7 @@ impl AttrCardinality {
 /// mutations) detect it through [`DeltaLog::since`] and fall back to full
 /// re-evaluation, so the cap bounds memory for log-oblivious users of
 /// [`Database`] without affecting correctness.
-const DELTA_LOG_CAP: usize = 1 << 16;
+pub(crate) const DELTA_LOG_CAP: usize = 1 << 16;
 
 /// Objects per copy-on-write chunk of the name table.
 const NAME_CHUNK: usize = 512;
@@ -367,8 +367,9 @@ pub struct Database {
     /// `data_version > floor` are not yet on disk and must never be
     /// dropped: both [`Database::truncate_log`] and the
     /// [`DELTA_LOG_CAP`] enforcement clamp their truncation point to the
-    /// floor. The engine advances it after every WAL append and
-    /// checkpoint.
+    /// floor. `OptimizedDatabase::update` raises it to the version each
+    /// transaction starts at, and `commit_durable` past the transaction
+    /// once its WAL record is appended.
     durable_floor: Option<u64>,
 }
 
@@ -481,8 +482,8 @@ impl Database {
     }
 
     /// Marks every entry with `data_version <= floor` as safely on disk
-    /// (WAL or checkpoint image); newer entries are pinned in memory. The
-    /// durable engine calls this after each WAL append and checkpoint.
+    /// (WAL or checkpoint image, or covered by the image taken before the
+    /// next logged commit); newer entries are pinned in memory.
     /// Monotone: the floor never moves backwards.
     pub(crate) fn set_durable_floor(&mut self, floor: u64) {
         let floor = self.durable_floor.map_or(floor, |prev| prev.max(floor));

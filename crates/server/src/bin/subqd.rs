@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Without `--model` the built-in medical sample schema is served;
-//! without `--dir` the store is volatile (no WAL, no checkpoints).
+//! without `--dir` the store is volatile: the same WAL and checkpoint
+//! sequence runs over a backend that keeps nothing, so `STATS` still
+//! counts `subq_wal_*` records and fsyncs that never reach a disk.
 //! With `--dir`, the directory is opened through the durable engine:
 //! an existing image + WAL recovers, an empty directory initializes.
 //!

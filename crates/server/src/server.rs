@@ -172,9 +172,10 @@ fn run_acceptor(
 
 impl Server {
     /// Binds a loopback listener and spawns the writer, the workers, and
-    /// the accept loop. Durability is inherited from how `db` was
-    /// opened: a durable database commits through the WAL with one
-    /// fsync per drained batch; a volatile one skips the log.
+    /// the accept loop. Every store commits through its WAL with one
+    /// fsync per drained batch; durability is inherited from the backend
+    /// `db` was opened over, and a volatile store's backend
+    /// ([`OptimizedDatabase::new`]) keeps nothing.
     pub fn start(mut db: OptimizedDatabase, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         listener.set_nonblocking(true)?;

@@ -4,20 +4,22 @@
 //! as a [`WriteRequest`] through one bounded channel into the writer
 //! thread that owns it (the oidadb `edb_job_t` shape — scheduled writes,
 //! threadsafe reads through handles). The writer drains whatever has
-//! queued, applies each command as its own transaction, and — when the
-//! store is durable — forces **one** fsync over the whole drained batch
-//! before completing any ticket: an acknowledged commit is a durable
-//! commit, and the stable-storage barrier is amortized exactly like the
-//! WAL's own group commit (E13 measures that curve; E14 measures this
-//! end of it).
+//! queued, applies each command as its own transaction, and forces
+//! **one** fsync over the whole drained batch; the batch's state is
+//! published after that fsync and before any ticket completes: an
+//! acknowledged commit is a durable commit, nobody reads a commit before
+//! its fsync, and the stable-storage barrier is amortized exactly like
+//! the WAL's own group commit (E13 measures that curve; E14 measures this
+//! end of it). A volatile store runs the same sequence over a backend
+//! that keeps nothing.
 //!
 //! DDL is group-committed the same way. `DEFVIEW` and `MATERIALIZE`
 //! change the catalog but write nothing themselves: the drained batch
 //! writes **one** checkpoint image per run of consecutive DDL — before
 //! the next non-DDL command applies, or at the batch's end, and always
-//! before any ticket completes (volatile: one publication instead). An
-//! acknowledged view is therefore in an image on disk, and no `TXN`
-//! record ever reaches the WAL behind a view no image holds yet.
+//! before any ticket completes. An acknowledged view is therefore in an
+//! image on disk, and no `TXN` record ever reaches the WAL behind a view
+//! no image holds yet.
 //!
 //! A clean stop (every worker has dropped its sender) writes one more
 //! image before the writer returns, so the next start decodes it and
@@ -192,31 +194,19 @@ fn validate_defview(model: &DlModel, decl: &QueryClassDecl) -> Result<(), Respon
 }
 
 /// Applies one command; `Err` means the durable engine failed and the
-/// server must stop taking writes. DDL leaves its image (or, volatile,
-/// its publication) to the drain loop: see [`write_image`].
-fn apply_cmd(
-    db: &mut OptimizedDatabase,
-    durable: bool,
-    cmd: &WriteCmd,
-) -> Result<Response, DurableError> {
+/// server must stop taking writes. DDL leaves its image to the drain
+/// loop.
+fn apply_cmd(db: &mut OptimizedDatabase, cmd: &WriteCmd) -> Result<Response, DurableError> {
     match cmd {
         WriteCmd::Txn(ops) => {
             if let Err(reply) = validate_txn(db.database().model(), ops) {
                 return Ok(reply);
             }
-            if durable {
-                db.commit_durable(|db| {
-                    for op in ops {
-                        apply_op(db, op);
-                    }
-                })?;
-            } else {
-                db.commit(|db| {
-                    for op in ops {
-                        apply_op(db, op);
-                    }
-                });
-            }
+            db.commit_durable(|db| {
+                for op in ops {
+                    apply_op(db, op);
+                }
+            })?;
             Ok(Response::Committed {
                 version: db.database().data_version(),
             })
@@ -255,18 +245,6 @@ fn apply_cmd(
     }
 }
 
-/// Makes the DDL applied since the last image durable and visible: a
-/// checkpoint image when durable (a new view or query class is only
-/// recoverable through one), a publication when volatile.
-fn write_image(db: &mut OptimizedDatabase, durable: bool) -> Result<(), DurableError> {
-    if durable {
-        db.checkpoint()?;
-    } else {
-        db.publish_snapshot();
-    }
-    Ok(())
-}
-
 /// One advisor pass between batches.
 fn advisor_tick(db: &mut OptimizedDatabase) -> Result<(), DurableError> {
     let pass = db.run_advisor()?;
@@ -282,8 +260,8 @@ fn advisor_tick(db: &mut OptimizedDatabase) -> Result<(), DurableError> {
 }
 
 /// The writer thread. It ends when every worker has dropped its sender
-/// (shutdown: the woken workers exit first; a durable writer then
-/// writes its stop image) or when the durable engine
+/// (shutdown: the woken workers exit first; the writer then writes its
+/// stop image) or when the durable engine
 /// fails; the failure path raises `crashed` and wakes `wakers` — every
 /// worker and the acceptor — which is the only way a blocked thread
 /// learns that nothing more will be acknowledged.
@@ -302,21 +280,20 @@ pub(crate) fn run_writer(
     }
 }
 
-/// Drain, apply (one image per run of DDL), one sync, acknowledge,
-/// wake; on a clean stop, one last image. Between batches, and when
-/// idle for `advisor_interval` (`None`: the advisor is off and an idle
-/// writer sleeps until a command arrives), it runs the view advisor —
-/// mining and auto-materialization ride the same thread as every other
-/// catalog mutation, strictly outside any transaction. `Err` means the
-/// durable engine failed; queued requests are left to drown with the
-/// channel.
+/// Drain, apply (one image per run of DDL), one sync, publish,
+/// acknowledge, wake; on a clean stop, one last image. Between batches,
+/// and when idle for `advisor_interval` (`None`: the advisor is off and
+/// an idle writer sleeps until a command arrives), it runs the view
+/// advisor — mining and auto-materialization ride the same thread as
+/// every other catalog mutation, strictly outside any transaction. `Err`
+/// means the durable engine failed; queued requests are left to drown
+/// with the channel.
 fn serve_writes(
     db: &mut OptimizedDatabase,
     rx: &Receiver<WriteRequest>,
     crashed: &AtomicBool,
     advisor_interval: Option<Duration>,
 ) -> Result<(), DurableError> {
-    let durable = db.durability_stats().is_some();
     let mut last_advice = Instant::now();
     loop {
         let received = match advisor_interval {
@@ -335,10 +312,8 @@ fn serve_writes(
             Err(RecvTimeoutError::Disconnected) => {
                 // A clean stop: one image, so the next start replays
                 // nothing and refreshes no view.
-                if durable {
-                    let version = db.checkpoint()?;
-                    log::info(|| format!("shutdown image written at version {version}"));
-                }
+                let version = db.checkpoint()?;
+                log::info(|| format!("shutdown image written at version {version}"));
                 return Ok(());
             }
         };
@@ -353,7 +328,8 @@ fn serve_writes(
         let mut completions: Vec<(Ticket, Response)> = Vec::with_capacity(batch_len);
         let mut to_wake: Vec<Arc<Waker>> = Vec::new();
         let mut failure = None;
-        // Set by applied DDL, cleared by the image that covers it.
+        // Set by applied DDL, cleared by the image that covers it (a new
+        // view or query class is only recoverable through one).
         let mut image_pending = false;
         for request in batch {
             if !to_wake.iter().any(|w| Arc::ptr_eq(w, &request.waker)) {
@@ -362,14 +338,14 @@ fn serve_writes(
             let ddl = matches!(request.cmd, WriteCmd::DefView(_) | WriteCmd::Materialize(_));
             if image_pending && !ddl && failure.is_none() {
                 image_pending = false;
-                failure = write_image(db, durable).err();
+                failure = db.checkpoint().err();
             }
             // Once the engine has failed nothing more is applied; the
             // replies of a failed batch are overwritten below.
             let response = if failure.is_some() {
                 internal("durable engine failed")
             } else {
-                apply_cmd(db, durable, &request.cmd).unwrap_or_else(|e| {
+                apply_cmd(db, &request.cmd).unwrap_or_else(|e| {
                     failure = Some(e);
                     internal("durable engine failed")
                 })
@@ -378,11 +354,13 @@ fn serve_writes(
             completions.push((request.ticket, response));
         }
         if image_pending && failure.is_none() {
-            failure = write_image(db, durable).err();
+            failure = db.checkpoint().err();
         }
-        // Group commit: the whole drained batch rides one fsync, and no
-        // ticket completes before it — an ack is a durability promise.
-        if durable && failure.is_none() {
+        // Group commit: the whole drained batch rides one fsync, which
+        // publishes it, and no ticket completes before it — an ack is a
+        // durability promise, and no session reads the batch before its
+        // fsync either.
+        if failure.is_none() {
             failure = db.sync_durable().err();
         }
         if failure.is_some() {
@@ -401,15 +379,16 @@ fn serve_writes(
         if let Some(e) = failure {
             return Err(e);
         }
-        // Publication preceded every completion and every completion
-        // precedes the wake, so the woken loop's `sync` adopts a
+        // Every publication of the batch (a commit whose append synced,
+        // an image, the sync above) preceded every completion and every
+        // completion precedes the wake, so the woken loop's `sync` adopts a
         // snapshot at least as new as any version it is about to ack.
         for waker in &to_wake {
             waker.wake();
         }
         log::debug(|| {
             format!(
-                "writer batch of {batch_len} committed (durable={durable}, version={})",
+                "writer batch of {batch_len} committed (version={})",
                 db.database().data_version()
             )
         });

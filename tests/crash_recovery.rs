@@ -461,6 +461,18 @@ fn transactions_larger_than_the_delta_log_cap_survive_recovery() {
     let stats = odb.durability_stats().expect("opened durably");
     assert_eq!(stats.recovered_records, 2);
     assert_eq!(stats.truncated_tail_bytes, 0);
+
+    // A volatile store logs the same way, to a backend that keeps
+    // nothing: its first transaction is pinned against the cap too.
+    let mut volatile = OptimizedDatabase::new(Database::new(model)).expect("translates");
+    volatile
+        .commit_durable(|db| {
+            for i in 0..2 * BULK {
+                db.add_object(&format!("bulk{i}"));
+            }
+        })
+        .expect("oversized volatile commit");
+    assert_eq!(volatile.database().data_version(), 2 * BULK as u64);
 }
 
 /// Satellite (PR 5 routing watermark): committing across a recovery
@@ -599,5 +611,61 @@ fn retraction_heavy_traces_replay_propagation_and_attr_indexes_exactly() {
                 );
             }
         }
+    }
+}
+
+/// Nothing is visible before its fsync at `group_commit` 8: three
+/// commits leave their records in an open batch, and a reader attached
+/// to the store adopts none of them until `sync_durable` forces the
+/// batch to disk — then it adopts all three at once.
+#[test]
+fn nothing_is_visible_before_its_fsync_at_group_commit_8() {
+    let trace = churn_trace(5, ChurnParams::default());
+    let backend = Arc::new(FaultyBackend::new());
+    let mut odb = OptimizedDatabase::open(backend, DurableOptions { group_commit: 8 }, || {
+        trace.db.clone()
+    })
+    .expect("genesis open");
+    for name in &trace.view_names {
+        odb.materialize_view(name).expect("materializes");
+    }
+    odb.checkpoint().expect("checkpoint after materialization");
+    let mut reader = odb.reader();
+    reader.sync();
+    let published = reader.data_version();
+    let fsyncs = odb.durability_stats().expect("durable").fsyncs;
+    for i in 0..3 {
+        let before = odb.database().data_version();
+        odb.commit_durable(|db| {
+            for op in &trace.transactions[i] {
+                op.apply(db);
+            }
+            db.add_object(&format!("unsynced{i}"));
+        })
+        .expect("commit");
+        assert!(
+            odb.database().data_version() > before,
+            "commit {i} changed nothing"
+        );
+        assert!(!reader.sync(), "commit {i} was published before its fsync");
+        assert_eq!(reader.data_version(), published);
+    }
+    assert_eq!(
+        odb.durability_stats().expect("durable").fsyncs,
+        fsyncs,
+        "an open batch of three must not have synced"
+    );
+
+    let watermark = odb.sync_durable().expect("sync");
+    assert_eq!(watermark, odb.database().data_version());
+    assert!(reader.sync(), "the synced batch must be published");
+    assert_eq!(reader.data_version(), watermark);
+    for name in &trace.view_names {
+        let view = reader.snapshot().view(name).expect("published");
+        assert_eq!(
+            *view.extent,
+            evaluate_query(odb.database(), &view.definition),
+            "view {name} published stale"
+        );
     }
 }

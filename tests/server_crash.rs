@@ -13,7 +13,8 @@
 
 use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use subq_oodb::durable::wal::WAL_FILE;
 use subq_oodb::{
@@ -437,4 +438,119 @@ fn a_pipelined_ddl_burst_shares_one_image() {
     let committed = [base, version];
     let at = scratch_at(&trace, &committed, version);
     assert_serves_boundary(recovered, &trace, version, &at);
+}
+
+/// What a gated fsync signals on entry, and where it waits for its
+/// outcome.
+type Gate = (Sender<()>, Receiver<Result<(), DurableError>>);
+
+/// A [`FaultyBackend`] whose next fsync (the engine fsyncs only its
+/// WAL), once a gate is set, reports that it has started and then waits
+/// for the test to choose its outcome.
+#[derive(Default)]
+struct GatedSync {
+    inner: FaultyBackend,
+    gate: Mutex<Option<Gate>>,
+}
+
+impl StorageBackend for GatedSync {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DurableError> {
+        self.inner.read(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<(), DurableError> {
+        let gate = self.gate.lock().expect("gate lock").take();
+        match gate {
+            Some((entered, outcome)) => {
+                entered.send(()).expect("the test waits for the fsync");
+                outcome.recv().expect("the test releases the fsync")
+            }
+            None => self.inner.sync(name),
+        }
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.inner.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> Result<(), DurableError> {
+        self.inner.remove(name)
+    }
+    fn list(&self) -> Result<Vec<String>, DurableError> {
+        self.inner.list()
+    }
+}
+
+/// A reader never sees a version above the last fsync: while session
+/// A's transaction is applied and logged but its batch's fsync has not
+/// returned, session B still answers at the synced version; when that
+/// fsync fails, A's transaction is never acknowledged and B never saw
+/// it.
+#[test]
+fn a_reader_never_sees_a_version_above_the_last_fsync() {
+    let trace = churn_trace(23, ChurnParams::default());
+    let txn = trace
+        .transactions
+        .iter()
+        .find(|txn| {
+            let mut db = trace.db.clone();
+            txn.iter().for_each(|op| op.apply(&mut db));
+            db.data_version() > trace.db.data_version()
+        })
+        .expect("the trace changes something");
+    let backend = Arc::new(GatedSync::default());
+    let mut odb =
+        OptimizedDatabase::open(backend.clone(), DurableOptions { group_commit: 8 }, || {
+            trace.db.clone()
+        })
+        .expect("genesis open");
+    for name in &trace.view_names {
+        odb.materialize_view(name).expect("materializes");
+    }
+    odb.checkpoint().expect("checkpoint after materialization");
+    let synced = odb.database().data_version();
+    let server = Server::start(odb, config()).expect("binds loopback");
+    let mut a = Client::connect(server.addr()).expect("connects");
+    let mut b = Client::connect(server.addr()).expect("connects");
+    a.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    b.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let ping = |client: &mut Client| match client.request(&Request::Ping).expect("pongs") {
+        Response::Pong { version } => version,
+        other => panic!("expected PONG, got {other:?}"),
+    };
+    assert_eq!(ping(&mut b), synced);
+
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, outcome) = mpsc::channel();
+    *backend.gate.lock().expect("gate lock") = Some((entered_tx, outcome));
+    a.send(&churn_txn_request(txn)).expect("sends");
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the writer reaches the batch's fsync");
+    assert_eq!(
+        ping(&mut b),
+        synced,
+        "a session saw a transaction before its fsync"
+    );
+
+    release
+        .send(Err(DurableError::Io("scripted fsync failure".into())))
+        .expect("the writer waits in the fsync");
+    // The typed error, or the reset that follows it when the worker
+    // learns of the crash first: never an acknowledgement.
+    match a.receive() {
+        Ok(Response::Error {
+            code: ErrorCode::Internal,
+            ..
+        })
+        | Err(_) => {}
+        Ok(other) => panic!("the unsynced transaction was answered {other:?}"),
+    }
+    match b.request(&Request::Ping) {
+        Ok(Response::Pong { version }) => assert_eq!(version, synced),
+        Ok(other) => panic!("expected PONG, got {other:?}"),
+        Err(_) => {}
+    }
+    assert!(server.crashed());
+    server.shutdown();
 }
