@@ -1,5 +1,5 @@
-//! E12 — the physical layer: compressed bitmap extents, cardinality
-//! statistics and sharded scatter-gather evaluation. Four arms over the
+//! E12 — the physical layer: compressed bitmap extents, the cost model
+//! over the store's cardinalities and sharded scatter-gather evaluation. Four arms over the
 //! store primitives the engine runs on:
 //!
 //! * `intersect` — two ≈100k-id candidate sets (SplitMix64-sampled,
@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
 use subq::oodb::eval::{filter_members_sharded, initial_candidates};
-use subq::oodb::{CostModel, ObjId, ObjSet, OptimizedDatabase, Statistics};
+use subq::oodb::{CostModel, ObjId, ObjSet, OptimizedDatabase};
 use subq::server::view_query;
 use subq::workload::{churn_trace, ChurnParams, FamilyShape};
 
@@ -233,7 +233,6 @@ fn scatter_rows() -> Vec<Row> {
 fn plan_quality_arm(shape: FamilyShape) -> Row {
     let instance = e9::catalog(shape, 50);
     let (mut odb, _) = e9::build(&instance);
-    let stats = Statistics::collect(odb.database());
     let mut worst_ratio = 1.0f64;
     let (mut queries, mut worse_than_smallest) = (0usize, 0usize);
     let (mut chosen_candidates, mut best_candidates) = (0usize, 0usize);
@@ -243,7 +242,7 @@ fn plan_quality_arm(shape: FamilyShape) -> Row {
             continue;
         }
         let (_, exec) = odb.execute(query);
-        let cost = CostModel::new(&stats, odb.database());
+        let cost = CostModel::new(odb.database());
         let mut best = usize::MAX;
         let mut smallest_extent = usize::MAX;
         let mut smallest_realized = 0usize;
@@ -294,7 +293,7 @@ fn latency_arm() -> Row {
     for name in &trace.view_names {
         odb.materialize_view(name).expect("materializes");
     }
-    // Warm the subsumption memo and the statistics catalog so the
+    // Warm the subsumption memo and the view catalog so the
     // sampled latencies measure the steady state, not first-touch.
     for query in &queries {
         let _ = odb.plan(query);

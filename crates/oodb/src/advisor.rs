@@ -311,6 +311,10 @@ pub struct Advisor {
     /// Data version at the last pass — the delta count since scales the
     /// estimated maintenance cost of a candidate view.
     last_version: u64,
+    /// View name → harvested executions that chose it as the frontier
+    /// member to filter, surfaced as the `subq_view_hits{view=…}` gauges.
+    /// Observed traffic, which the store cannot derive.
+    view_hits: FxHashMap<String, u64>,
     /// Cumulative counters, mirrored into telemetry.
     pub materialized_total: u64,
     pub evicted_total: u64,
@@ -359,7 +363,11 @@ impl Advisor {
         name.starts_with(AUTO_VIEW_PREFIX)
     }
 
-    /// Folds one harvested batch into the decayed shape table.
+    /// Folds one harvested batch into the decayed shape table and the
+    /// per-view hit tallies, then sets every tally's gauge (set, not
+    /// bumped, so passes are idempotent). The process-wide
+    /// `subq_view_hits_total` is not touched: the executor counted each
+    /// execution once, when it ran.
     pub(crate) fn absorb(&mut self, events: &[ShapeEvent]) {
         self.events_harvested += events.len() as u64;
         for event in events {
@@ -378,11 +386,21 @@ impl Advisor {
             stat.last_candidates = event.candidates_examined;
             stat.last_answers = event.answers;
             if let Some(view) = &event.used_view {
+                *self.view_hits.entry(view.clone()).or_insert(0) += 1;
                 if Self::is_auto_view(view) {
                     self.cold_passes.insert(view.clone(), 0);
                 }
             }
         }
+        for (view, &hits) in &self.view_hits {
+            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(hits as i64);
+        }
+    }
+
+    /// Harvested executions that chose `view` as the frontier member to
+    /// filter.
+    pub fn view_hits(&self, view: &str) -> u64 {
+        self.view_hits.get(view).copied().unwrap_or(0)
     }
 
     /// Decays every shape's heat and returns the materialize/evict plan
@@ -607,20 +625,7 @@ impl OptimizedDatabase {
         }
         let mut events = Vec::new();
         self.cell.harvest_shapes(&mut events);
-        // The executor counted each of these once, process-wide, when it
-        // ran; here they become the per-view tallies.
-        for event in &events {
-            if let Some(view) = event.used_view.as_deref() {
-                self.stats.record_view_hit(view);
-            }
-        }
         self.advisor.absorb(&events);
-        self.stats.refresh(&self.db);
-        // Surface the per-view tallies in the exposition (`STATS` over
-        // the wire). Gauges are set, not bumped, so passes are idempotent.
-        for (view, hits) in self.stats.view_hit_counts() {
-            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(hits as i64);
-        }
         let version = self.db.data_version();
         let deltas = version.saturating_sub(self.advisor.last_version);
         self.advisor.last_version = version;
@@ -630,7 +635,7 @@ impl OptimizedDatabase {
         let maintenance_per_delta =
             maint.candidates_examined as f64 / maint.deltas_applied.max(1) as f64;
         let served = self.catalog.view_names();
-        let cost = CostModel::new(&self.stats, &self.db);
+        let cost = CostModel::new(&self.db);
         let plan = self
             .advisor
             .plan_pass(&cost, maintenance_per_delta, deltas, &served);
@@ -661,7 +666,7 @@ impl OptimizedDatabase {
                 .as_deref()
                 .and_then(|name| self.catalog.view(name));
             if let Some(view) = incumbent {
-                let cost = CostModel::new(&self.stats, &self.db);
+                let cost = CostModel::new(&self.db);
                 let via_existing = cost.filter_cost(
                     cost.estimated_candidates(view.extent.len(), &definition),
                     &definition,
@@ -866,6 +871,36 @@ mod tests {
                 "producer {producer} came out reordered or duplicated"
             );
         }
+    }
+
+    /// Per-view hit tallies are observed state the advisor alone keeps:
+    /// they accumulate across passes, and every pass sets each tally's
+    /// gauge, touched this pass or not.
+    #[test]
+    fn view_hit_tallies_accumulate_across_passes_and_surface_as_gauges() {
+        let event = |used_view: Option<&str>| ShapeEvent {
+            shape: Arc::new(normalize_shape(&shape_with(PathFilter::Any, "x"))),
+            used_view: used_view.map(str::to_owned),
+            candidates_examined: 1,
+            answers: 1,
+        };
+        let gauge =
+            |view: &str| subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}"));
+        let mut advisor = Advisor::default();
+        let mut first = vec![event(None)];
+        first.extend((0..2).map(|_| event(Some("TallyHot"))));
+        first.extend((0..3).map(|_| event(Some("TallyCold"))));
+        advisor.absorb(&first);
+        assert_eq!(advisor.view_hits("TallyHot"), 2);
+        assert_eq!(advisor.view_hits("TallyCold"), 3);
+        assert_eq!(advisor.view_hits("Nonsense"), 0);
+        assert_eq!(advisor.events_harvested, 6);
+
+        advisor.absorb(&[event(Some("TallyHot"))]);
+        assert_eq!(advisor.view_hits("TallyHot"), 3, "accumulates");
+        assert_eq!(advisor.view_hits("TallyCold"), 3, "kept while idle");
+        assert_eq!(gauge("TallyHot").get(), 3);
+        assert_eq!(gauge("TallyCold").get(), 3);
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub(crate) fn write_checkpoint(
     put_u32(&mut out, FORMAT);
     put_u64(&mut out, db.schema_version());
     put_u64(&mut out, version);
-    // The statistics catalog derives from the delta log, so its version
-    // is the data version the image captures.
+    // `stats_version` repeats the data version: nothing reads it back, and
+    // the slot stays so images keep their format.
     put_u64(&mut out, version);
     put_str(&mut out, &subq_dl::pretty::render_model(db.model()));
 

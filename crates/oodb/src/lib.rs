@@ -56,6 +56,6 @@ pub use objset::ObjSet;
 pub use optimizer::OptimizedDatabase;
 pub use planner::{ExecutionStats, ExplainReport, FrontierEstimate, QueryPlan};
 pub use snapshot::{Reader, Snapshot, SnapshotCell};
-pub use stats::{CostModel, Statistics};
+pub use stats::CostModel;
 pub use store::{AttrCardinality, ConformanceViolation, Database, ObjId};
 pub use views::{MaterializedView, ViewCatalog};

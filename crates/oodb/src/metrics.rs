@@ -2,10 +2,9 @@
 //!
 //! Latency histograms span the writer's plan/execute/commit/checkpoint
 //! paths and the WAL's fsync barrier; counters mirror the per-catalog
-//! [`MaintenanceStats`](crate::maintain::MaintenanceStats) and the
-//! per-catalog [`Statistics`](crate::stats::Statistics) refresh counters
-//! by bumping at the same sites, so the registry aggregates every
-//! catalog in the process without double-counting.
+//! [`MaintenanceStats`](crate::maintain::MaintenanceStats) by bumping at
+//! the same sites, so the registry aggregates every catalog in the
+//! process without double-counting.
 
 use std::sync::OnceLock;
 use subq_telemetry::{Counter, Histogram};
@@ -23,8 +22,10 @@ pub struct OodbMetrics {
     /// [`Reader::sync`](crate::snapshot::Reader::sync) when it adopts a
     /// newer snapshot, freeing the replaced one included (nanoseconds).
     pub reader_sync_ns: Histogram,
-    /// `commit`/`commit_durable` end-to-end latency, mutation through
-    /// snapshot publication (nanoseconds).
+    /// [`commit_durable`](crate::optimizer::OptimizedDatabase::commit_durable)
+    /// latency: mutation, WAL append (with its fsync when it closes a
+    /// group), view refresh and, once synced, snapshot publication
+    /// (nanoseconds).
     pub commit_publish_ns: Histogram,
     /// Checkpoint image write latency (nanoseconds).
     pub checkpoint_ns: Histogram,
@@ -44,11 +45,6 @@ pub struct OodbMetrics {
     pub maint_lattice_prunes: Counter,
     pub maint_full_reevaluations: Counter,
     pub maint_empty_refreshes: Counter,
-    /// Mirrors of the [`Statistics`](crate::stats::Statistics) refresh
-    /// counters.
-    pub stats_full_collections: Counter,
-    pub stats_incremental_refreshes: Counter,
-    pub stats_entries_touched: Counter,
     /// Advisor lifecycle counters (see [`crate::advisor`]).
     pub advisor_materialized: Counter,
     pub advisor_evicted: Counter,
@@ -56,8 +52,9 @@ pub struct OodbMetrics {
     /// Gain estimate (cost-model probes) of each auto-materialized shape.
     pub advisor_gain_estimate: Histogram,
     /// Queries routed through each chosen frontier view, summed over all
-    /// views (per-view tallies live in [`Statistics`](crate::stats::Statistics)
-    /// and per-view counters are registered lazily by name).
+    /// views (per-view tallies live in the [`Advisor`](crate::advisor::Advisor),
+    /// which surfaces them as `subq_view_hits{view=…}` gauges registered
+    /// lazily by name).
     pub view_hits: Counter,
 }
 
@@ -88,11 +85,6 @@ pub fn metrics() -> &'static OodbMetrics {
             "subq_maintenance_full_reevaluations_total",
         ),
         maint_empty_refreshes: subq_telemetry::counter("subq_maintenance_empty_refreshes_total"),
-        stats_full_collections: subq_telemetry::counter("subq_stats_full_collections_total"),
-        stats_incremental_refreshes: subq_telemetry::counter(
-            "subq_stats_incremental_refreshes_total",
-        ),
-        stats_entries_touched: subq_telemetry::counter("subq_stats_entries_touched_total"),
         advisor_materialized: subq_telemetry::counter("subq_advisor_materialized_total"),
         advisor_evicted: subq_telemetry::counter("subq_advisor_evicted_total"),
         advisor_rejected_subsumed: subq_telemetry::counter("subq_advisor_rejected_subsumed_total"),

@@ -3,8 +3,8 @@
 //!
 //! [`OptimizedDatabase`] owns the live state — the store, its structural
 //! translation, the view catalog with its subsumption lattice, the
-//! subsumption cache, cardinality statistics — and is the single place
-//! that mutates it. There is one write sequence, whatever the store:
+//! subsumption cache — and is the single place that mutates it. There is
+//! one write sequence, whatever the store:
 //! update → WAL append → fsync → publish → acknowledge.
 //! [`OptimizedDatabase::commit_durable`] applies and logs a transaction,
 //! [`OptimizedDatabase::sync_durable`] ends a group-commit batch, and
@@ -37,7 +37,6 @@ use crate::durable::{
 use crate::maintain::Delta;
 use crate::planner::{self, ExecutionStats, PlanContext, QueryPlan};
 use crate::snapshot::{FrozenTranslation, Reader, Snapshot, SnapshotCell};
-use crate::stats::Statistics;
 use crate::store::{Database, ObjId};
 use crate::views::{ClassifyOracle, ViewCatalog, ViewError};
 use std::collections::BTreeSet;
@@ -72,9 +71,6 @@ pub struct OptimizedDatabase {
     /// interned new concepts since (data-only churn publishes without
     /// cloning the arena).
     frozen: Option<(Arc<FrozenTranslation>, (u64, usize, usize))>,
-    /// Cardinality statistics behind the execution cost model, kept fresh
-    /// incrementally from the delta log (see [`crate::stats`]).
-    pub(crate) stats: Statistics,
     /// The durable engine: [`OptimizedDatabase::commit_durable`]
     /// write-ahead logs every transaction before publishing, and
     /// [`OptimizedDatabase::checkpoint`] compacts the log into an image.
@@ -122,7 +118,6 @@ impl OptimizedDatabase {
             memo,
             cell,
             frozen: Some((frozen_translation, fingerprint)),
-            stats: Statistics::new(),
             durable,
             advisor: Advisor::default(),
             shapes,
@@ -556,7 +551,6 @@ impl OptimizedDatabase {
             cache: &mut self.subsumption_cache,
             memo: &self.memo,
             shared_bound: usize::MAX,
-            stats: &self.stats,
             plan_ns: &crate::metrics::metrics().plan_ns,
             shapes: self.cell.recording().then_some(&*self.shapes),
         })
@@ -603,22 +597,14 @@ impl OptimizedDatabase {
         Some(verdict.holds())
     }
 
-    /// The cardinality-statistics catalog, refreshed incrementally from
-    /// the delta log up to the current data version.
-    pub fn statistics(&mut self) -> &Statistics {
-        self.stats.refresh(&self.db);
-        &self.stats
-    }
-
-    /// Executes a query with the optimizer: refreshes stale views and
-    /// statistics, then plans, chooses the cheapest frontier member and
-    /// filters its narrowed extension (see [`crate::planner`]). Falls
-    /// back to a full evaluation when no view subsumes the query.
+    /// Executes a query with the optimizer: refreshes stale views, then
+    /// plans, chooses the cheapest frontier member and filters its
+    /// narrowed extension (see [`crate::planner`]). Falls back to a full
+    /// evaluation when no view subsumes the query.
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
         let _span = crate::metrics::metrics().execute_ns.span();
         self.catalog.refresh(&self.db);
         self.classify_catalog();
-        self.stats.refresh(&self.db);
         self.with_context(|context| context.execute(query))
     }
 

@@ -23,9 +23,9 @@
 //!
 //! * the **writer** ([`OptimizedDatabase`]) lends its live state — the
 //!   catalog under its read guard, its own translation and subsumption
-//!   cache, an unbounded memo bound (its arena is the canonical one), and
-//!   incrementally refreshed statistics — after its two writer-only
-//!   preludes (classifying pending views, refreshing stale extensions);
+//!   cache, and an unbounded memo bound (its arena is the canonical one) —
+//!   after its two writer-only preludes (classifying pending views,
+//!   refreshing stale extensions);
 //! * a **[`Reader`]** lends its pinned [`Snapshot`](crate::Snapshot) and
 //!   its private arena and cache.
 //!
@@ -38,7 +38,7 @@
 
 use crate::advisor::{normalize_shape, ShapeEvent, ShapeRing};
 use crate::eval::{evaluate_query_over, initial_candidates};
-use crate::stats::{CostModel, Statistics};
+use crate::stats::CostModel;
 use crate::store::{Database, ObjId};
 use crate::views::{lattice_depth, traverse_lattice, MaterializedView, TraversalTrace};
 use std::collections::BTreeSet;
@@ -195,7 +195,8 @@ impl ExplainReport {
 /// Everything one plan or execution touches, borrowed from whoever owns
 /// it for the duration of a single call. Building one allocates nothing.
 pub(crate) struct PlanContext<'a> {
-    /// The state queries are evaluated against.
+    /// The state queries are evaluated against, and whose extent and
+    /// attribute-index counters the cost model reads.
     pub db: &'a Database,
     /// The classified views with their Hasse edges and stored extensions,
     /// fresh as of `db`.
@@ -212,9 +213,6 @@ pub(crate) struct PlanContext<'a> {
     /// Concept ids below this bound denote the same term in every arena
     /// probing through `memo`; pairs above it stay in `cache`.
     pub shared_bound: usize,
-    /// Cardinalities as of `db`, for the cost model. Planning alone never
-    /// reads them.
-    pub stats: &'a Statistics,
     /// The histogram planning time is charged to.
     pub plan_ns: &'a Histogram,
     /// Where executions are recorded for the advisor; `None` while the
@@ -275,7 +273,7 @@ impl<'a> PlanContext<'a> {
     }
 
     fn cost(&self) -> CostModel<'a> {
-        CostModel::new(self.stats, self.db)
+        CostModel::new(self.db)
     }
 
     /// Plans a query by traversing the view lattice from its roots: a

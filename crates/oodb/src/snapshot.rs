@@ -57,7 +57,6 @@
 
 use crate::advisor::{ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
 use crate::planner::{self, ExecutionStats, ExplainReport, PlanContext, QueryPlan};
-use crate::stats::Statistics;
 use crate::store::{Database, ObjId};
 use crate::views::MaterializedView;
 use std::collections::{BTreeSet, HashMap};
@@ -271,12 +270,6 @@ pub struct Reader {
     vocabulary: Vocabulary,
     arena: TermArena,
     cache: SubsumptionCache,
-    /// Cardinality statistics, brought up to the pinned snapshot on first
-    /// execution after [`Reader::sync`] adopted it. Published snapshots
-    /// carry an empty log positioned at their version, so each catch-up
-    /// is one full collection — the incremental path's truncation
-    /// fallback.
-    stats: Statistics,
     /// This reader's shape log: executions are pushed here (bounded)
     /// when the cell has recording enabled; the writer harvests at the
     /// publish boundary. See [`crate::advisor`].
@@ -294,7 +287,6 @@ impl Reader {
             arena: snapshot.translated.arena.clone(),
             snapshot,
             cache: SubsumptionCache::new(),
-            stats: Statistics::new(),
             shapes,
         }
     }
@@ -370,7 +362,6 @@ impl Reader {
             cache: &mut self.cache,
             memo: &snapshot.memo,
             shared_bound,
-            stats: &self.stats,
             plan_ns: &crate::metrics::metrics().reader_plan_ns,
             shapes: self.cell.recording().then_some(&*self.shapes),
         }
@@ -390,7 +381,6 @@ impl Reader {
     /// over immutable state.
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
         let _span = crate::metrics::metrics().reader_execute_ns.span();
-        self.stats.refresh(&self.snapshot.db);
         self.context().execute(query)
     }
 
@@ -413,7 +403,6 @@ impl Reader {
     /// model's estimate for each frontier member with the pick
     /// [`Reader::execute`] makes, and the narrowing order.
     pub fn explain(&mut self, query: &QueryClassDecl) -> ExplainReport {
-        self.stats.refresh(&self.snapshot.db);
         self.context().explain(query)
     }
 }

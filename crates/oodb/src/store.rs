@@ -846,8 +846,7 @@ impl Database {
     }
 
     /// Names of every class that ever had a member asserted (the keys of
-    /// the maintained extent shards) — the enumeration behind a full
-    /// statistics collection.
+    /// the maintained extent shards).
     pub fn class_names(&self) -> impl Iterator<Item = &str> {
         self.extents.keys().map(String::as_str)
     }

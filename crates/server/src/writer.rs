@@ -44,6 +44,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use subq_dl::{validate_model, DlModel, QueryClassDecl};
+use subq_oodb::views::ViewError;
 use subq_oodb::{Database, DurableError, OptimizedDatabase};
 use subq_telemetry::log;
 
@@ -167,7 +168,9 @@ fn apply_op(db: &mut Database, op: &TxnOp) {
 /// Validates a DEFVIEW against a *clone* of the model before letting it
 /// anywhere near [`OptimizedDatabase::update`], whose contract is that
 /// schema mutations keep the model translatable (it panics otherwise —
-/// a panic no wire client may be able to trigger).
+/// a panic no wire client may be able to trigger). A query class with a
+/// constraint clause is no view (its stored answers would be unsound for
+/// subsumed queries), so it is refused before anything is declared.
 fn validate_defview(model: &DlModel, decl: &QueryClassDecl) -> Result<(), Response> {
     let reject = |message: String| Response::Error {
         code: ErrorCode::Parse,
@@ -178,6 +181,14 @@ fn validate_defview(model: &DlModel, decl: &QueryClassDecl) -> Result<(), Respon
             "the {} name prefix is reserved for advisor-materialized views",
             subq_oodb::AUTO_VIEW_PREFIX
         )));
+    }
+    if !decl.is_view() {
+        return Err(reject(
+            ViewError::NotStructural {
+                query: decl.name.clone(),
+            }
+            .to_string(),
+        ));
     }
     if model.class(&decl.name).is_some() || model.query_class(&decl.name).is_some() {
         return Err(reject(format!("{} is already declared", decl.name)));
@@ -261,10 +272,10 @@ fn advisor_tick(db: &mut OptimizedDatabase) -> Result<(), DurableError> {
 
 /// The writer thread. It ends when every worker has dropped its sender
 /// (shutdown: the woken workers exit first; the writer then writes its
-/// stop image) or when the durable engine
-/// fails; the failure path raises `crashed` and wakes `wakers` — every
-/// worker and the acceptor — which is the only way a blocked thread
-/// learns that nothing more will be acknowledged.
+/// stop image), when the durable engine fails, or when it panics; the
+/// last two raise `crashed` and wake `wakers` — every worker and the
+/// acceptor — which is the only way a blocked thread learns that nothing
+/// more will be acknowledged.
 pub(crate) fn run_writer(
     mut db: OptimizedDatabase,
     rx: Receiver<WriteRequest>,
@@ -272,10 +283,29 @@ pub(crate) fn run_writer(
     wakers: Vec<Arc<Waker>>,
     advisor_interval: Option<Duration>,
 ) {
-    if serve_writes(&mut db, &rx, &crashed, advisor_interval).is_err() {
-        crashed.store(true, Ordering::Release);
-        for waker in &wakers {
-            waker.wake();
+    let mut end = WriterEnd {
+        crashed,
+        wakers,
+        failed: false,
+    };
+    end.failed = serve_writes(&mut db, &rx, &end.crashed, advisor_interval).is_err();
+}
+
+/// Raises `crashed` and wakes every waiter when the writer thread ends
+/// failed — by a durable error or by unwinding from a panic.
+struct WriterEnd {
+    crashed: Arc<AtomicBool>,
+    wakers: Vec<Arc<Waker>>,
+    failed: bool,
+}
+
+impl Drop for WriterEnd {
+    fn drop(&mut self) {
+        if self.failed || std::thread::panicking() {
+            self.crashed.store(true, Ordering::Release);
+            for waker in &self.wakers {
+                waker.wake();
+            }
         }
     }
 }

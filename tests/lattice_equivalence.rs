@@ -13,11 +13,15 @@
 //!   batch of insertions;
 //! * the writer and a snapshot reader — two contexts over the one planner
 //!   and executor — agree on every plan, answer set and execution
-//!   statistic, and `EXPLAIN` reports the plan and the pick that run.
+//!   statistic, and `EXPLAIN` reports the plan and the pick that run;
+//! * a reader's cost estimates are those of the snapshot it pinned: a
+//!   commit moves them only once the reader syncs.
 
 use std::collections::{BTreeSet, HashMap};
 use subq::dl::QueryClassDecl;
-use subq::oodb::{evaluate_query, evaluate_query_over, OptimizedDatabase, QueryPlan};
+use subq::oodb::{
+    evaluate_query, evaluate_query_over, ExplainReport, OptimizedDatabase, QueryPlan, Reader,
+};
 use subq::workload::{
     hierarchical_catalog, synthetic_hospital, FamilyShape, HierarchyParams, HospitalParams,
 };
@@ -154,7 +158,7 @@ fn check_writer_reader_parity(
 ) {
     let whole = |plan: &QueryPlan| format!("{plan:?}");
     let mut writer = build();
-    let (published, twin_engine) = (build(), build());
+    let (published, mut twin_engine) = (build(), build());
     let (mut reader, mut twin) = (published.reader(), twin_engine.reader());
     for pass in ["cold", "warm"] {
         for query in queries {
@@ -201,6 +205,70 @@ fn check_writer_reader_parity(
                 "{tag}: explain().actual_candidates"
             );
         }
+    }
+    check_pinned_estimates(&mut twin_engine, &mut twin, queries, label);
+}
+
+/// The cost model reads the snapshot a reader pinned. Three new objects
+/// committed into a class the first narrowable query intersects with
+/// leave the reader's `EXPLAIN` estimates as they were until it syncs;
+/// after the sync they are the store's new counts.
+fn check_pinned_estimates(
+    engine: &mut OptimizedDatabase,
+    reader: &mut Reader,
+    queries: &[QueryClassDecl],
+    label: &str,
+) {
+    let estimates = |report: &ExplainReport| {
+        let frontier: Vec<(String, usize)> = report
+            .frontier
+            .iter()
+            .map(|view| (view.name.clone(), view.estimated_candidates))
+            .collect();
+        (report.narrowing_order.clone(), frontier)
+    };
+    let Some((query, before)) = queries.iter().find_map(|query| {
+        let report = reader.explain(query);
+        (!report.narrowing_order.is_empty()).then_some((query, report))
+    }) else {
+        return;
+    };
+    let tag = format!("{label}: estimates of {}", query.name);
+    let (class, count) = before.narrowing_order[0].clone();
+    engine
+        .commit_durable(|db| {
+            for i in 0..3 {
+                let object = db.add_object(&format!("pinned_estimate_probe_{i}"));
+                db.assert_class(object, &class);
+            }
+        })
+        .expect("commits");
+    assert_eq!(
+        estimates(&reader.explain(query)),
+        estimates(&before),
+        "{tag}: moved before the reader synced"
+    );
+    assert!(reader.sync(), "{tag}: the commit was published");
+    let after = reader.explain(query);
+    let db = engine.database();
+    for (narrowing, cardinality) in &after.narrowing_order {
+        assert_eq!(
+            *cardinality,
+            db.class_cardinality(narrowing),
+            "{tag}: {narrowing}"
+        );
+    }
+    assert!(
+        after.narrowing_order.contains(&(class.clone(), count + 3)),
+        "{tag}: {class} did not grow by the three commits"
+    );
+    for view in &after.frontier {
+        let bound = after
+            .narrowing_order
+            .iter()
+            .map(|(_, cardinality)| *cardinality)
+            .fold(view.extent, usize::min);
+        assert_eq!(view.estimated_candidates, bound, "{tag}: {}", view.name);
     }
 }
 

@@ -12,7 +12,7 @@
 //! yields offsets that are meaningful in every crashed re-run.
 
 use std::io::{ErrorKind, Read};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -553,4 +553,75 @@ fn a_reader_never_sees_a_version_above_the_last_fsync() {
     }
     assert!(server.crashed());
     server.shutdown();
+}
+
+/// A [`FaultyBackend`] whose fsyncs panic once armed: a writer that dies
+/// by unwinding instead of returning a durable error.
+#[derive(Default)]
+struct PanickingSync {
+    inner: FaultyBackend,
+    armed: AtomicBool,
+}
+
+impl StorageBackend for PanickingSync {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DurableError> {
+        self.inner.read(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<(), DurableError> {
+        if self.armed.load(Ordering::SeqCst) {
+            panic!("scripted fsync panic");
+        }
+        self.inner.sync(name)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.inner.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> Result<(), DurableError> {
+        self.inner.remove(name)
+    }
+    fn list(&self) -> Result<Vec<String>, DurableError> {
+        self.inner.list()
+    }
+}
+
+/// A writer that panics raises `crashed` like one that fails: the
+/// session waiting for its transaction's reply is reset instead of
+/// hanging, and the server reports the crash.
+#[test]
+fn a_panicking_writer_raises_crashed() {
+    let trace = churn_trace(29, ChurnParams::default());
+    let txn = trace
+        .transactions
+        .iter()
+        .find(|txn| {
+            let mut db = trace.db.clone();
+            txn.iter().for_each(|op| op.apply(&mut db));
+            db.data_version() > trace.db.data_version()
+        })
+        .expect("the trace changes something");
+    let backend = Arc::new(PanickingSync::default());
+    let odb = OptimizedDatabase::open(backend.clone(), DurableOptions { group_commit: 8 }, || {
+        trace.db.clone()
+    })
+    .expect("genesis open");
+    let server = Server::start(odb, config()).expect("binds loopback");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        client.request(&Request::Ping).expect("pongs"),
+        Response::Pong { .. }
+    ));
+
+    backend.armed.store(true, Ordering::SeqCst);
+    client.send(&churn_txn_request(txn)).expect("sends");
+    let end = client.stream_mut().read(&mut [0u8; 16]);
+    assert!(
+        matches!(end, Ok(0)) || matches!(&end, Err(e) if e.kind() == ErrorKind::ConnectionReset),
+        "the session should be reset by the writer's panic, got {end:?}"
+    );
+    assert!(server.crashed());
+    assert!(server.shutdown());
 }

@@ -19,8 +19,9 @@ use subq_oodb::{evaluate_query, OptimizedDatabase};
 use subq_server::frame::encode_frame;
 use subq_server::{
     churn_txn_request, view_query, Client, ErrorCode, Request, Response, Server, ServerConfig,
+    TxnOp,
 };
-use subq_workload::{churn_trace, ChurnParams, ChurnTrace};
+use subq_workload::{churn_trace, synthetic_hospital, ChurnParams, ChurnTrace, HospitalParams};
 
 fn serve(config: ServerConfig) -> (Server, ChurnTrace) {
     let trace = churn_trace(41, ChurnParams::default());
@@ -147,6 +148,59 @@ fn a_deeply_nested_query_is_a_parse_error_not_a_dead_server() {
     client.close().expect("graceful BYE");
     second.close().expect("graceful BYE");
     server.shutdown();
+}
+
+/// A query class with a constraint clause is no view. A DEFVIEW of one —
+/// the paper's QueryPatient under a fresh name — is a typed parse error
+/// before anything is declared, and the writer keeps committing.
+#[test]
+fn a_defview_with_a_constraint_clause_is_a_parse_error() {
+    let db = synthetic_hospital(5, HospitalParams::default());
+    let mut decl = db
+        .model()
+        .query_class("QueryPatient")
+        .expect("declared")
+        .clone();
+    assert!(
+        decl.constraint.is_some(),
+        "the paper's query is constrained"
+    );
+    decl.name = "ConstrainedPatient".to_owned();
+    let odb = OptimizedDatabase::new(db).expect("translates");
+    let server = Server::start(
+        odb,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds loopback");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match client
+        .request(&Request::DefView(decl))
+        .expect("a reply within the timeout")
+    {
+        Response::Error {
+            code: ErrorCode::Parse,
+            message,
+        } => assert!(
+            message.contains("constraint clause"),
+            "rejection does not name the constraint: {message}"
+        ),
+        other => panic!("expected ERR PARSE, got {other:?}"),
+    }
+    let txn = Request::Txn(vec![TxnOp::Class {
+        assert: true,
+        object: "newcomer".to_owned(),
+        class: "Patient".to_owned(),
+    }]);
+    match client.request(&txn).expect("the writer still answers") {
+        Response::Committed { .. } => {}
+        other => panic!("expected COMMITTED, got {other:?}"),
+    }
+    client.close().expect("graceful BYE");
+    assert!(!server.shutdown(), "the writer did not crash");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! `subq_view_hits_total` is bumped by the executor when a query is
 //! filtered through a view; the advisor pass that later harvests the same
-//! execution from the reader's shape ring only folds it into the writer's
-//! per-view tally. This lives in a binary of its own because the metrics
+//! execution from the reader's shape ring only folds it into the
+//! advisor's per-view tally. This lives in a binary of its own because the metrics
 //! registry is process-wide: any other test executing a query in the same
 //! process would move the counter.
 
@@ -47,7 +47,7 @@ fn reader_hits_are_counted_once_with_the_advisor_on() {
         EXECUTIONS,
         "harvesting an execution must not count it again"
     );
-    assert_eq!(writer.statistics().view_hits("ViewPatient"), EXECUTIONS);
+    assert_eq!(writer.advisor().view_hits("ViewPatient"), EXECUTIONS);
 
     // The writer's own executions go through the same executor and the
     // same kind of ring.
@@ -56,5 +56,5 @@ fn reader_hits_are_counted_once_with_the_advisor_on() {
     }
     writer.run_advisor().expect("pass");
     assert_eq!(total.get() - before, EXECUTIONS + 3);
-    assert_eq!(writer.statistics().view_hits("ViewPatient"), EXECUTIONS + 3);
+    assert_eq!(writer.advisor().view_hits("ViewPatient"), EXECUTIONS + 3);
 }
